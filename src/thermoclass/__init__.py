@@ -25,7 +25,7 @@ from .lindblad import (
     SystemConfig,
     ThermalBath,
     Trajectory,
-    effective_temperature,
+    boltzmann_temperature,
     evolve,
     lindblad_rhs,
     make_config,
@@ -33,6 +33,7 @@ from .lindblad import (
     steady_population_ratio,
     steady_state,
     steady_temperature,
+    steady_temperatures,
     thermal_occupation,
 )
 from .transmon import BudgetReport, DispersivePair, TimingBudget, budget_report, effective_coupling
@@ -54,10 +55,10 @@ __all__ = [
     "ThermalBath",
     "TimingBudget",
     "Trajectory",
+    "boltzmann_temperature",
     "budget_report",
     "classify",
     "effective_coupling",
-    "effective_temperature",
     "evolve",
     "gamma_sweep",
     "generate_instances",
@@ -70,6 +71,7 @@ __all__ = [
     "steady_population_ratio",
     "steady_state",
     "steady_temperature",
+    "steady_temperatures",
     "thermal_occupation",
     "thermalization_curves",
 ]

@@ -6,7 +6,7 @@ separable.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +40,8 @@ class DecisionRule:
         if self.mode not in ("instance_mean", "fixed_threshold"):
             raise ValueError(f"unknown decision rule mode {self.mode!r}")
         if self.mode == "fixed_threshold":
-            if self.theta is None or self.theta <= 0:
-                raise ValueError(f"fixed_threshold requires theta > 0, got {self.theta}")
+            if self.theta is None or not 0 < self.theta < math.inf:
+                raise ValueError(f"fixed_threshold requires a finite theta > 0, got {self.theta}")
         elif self.theta is not None:
             raise ValueError("instance_mean takes no theta")
 
@@ -53,10 +53,11 @@ class DecisionRule:
     def fixed(cls, theta: float) -> "DecisionRule":
         return cls(mode="fixed_threshold", theta=theta)
 
-    def threshold_for(self, config: lindblad.SystemConfig) -> float:
+    def thresholds(self, temperatures: np.ndarray) -> np.ndarray:
+        """Threshold of each row of an (n, k) array of bath temperatures."""
         if self.mode == "instance_mean":
-            return lindblad.mean_bath_temperature(config)
-        return self.theta
+            return sum(temperatures.T) / temperatures.shape[1]
+        return np.full(len(temperatures), float(self.theta))
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,24 @@ class LabeledPoint:
     features: tuple
     steady_temperature: float
     label: str
+    threshold: float | None = None
+
+
+def _label(temperatures: np.ndarray, rates: np.ndarray, rule: DecisionRule, omega: float) -> tuple:
+    """Steady temperatures, thresholds and labels of (n, k) reservoir sets;
+    the threshold comparison is inclusive on the hot side."""
+    t_ss = lindblad.steady_temperatures(temperatures, rates, omega)
+    thresholds = rule.thresholds(temperatures)
+    labels = np.where(t_ss >= thresholds, CLASS_HOT, CLASS_COLD)
+    return t_ss.tolist(), thresholds.tolist(), labels.tolist()
 
 
 def classify(config: lindblad.SystemConfig, rule: DecisionRule) -> ClassificationResult:
-    """Label one reservoir configuration from its closed-form steady
-    temperature; the threshold comparison is inclusive on the hot side."""
-    t_ss = lindblad.steady_temperature(config)
-    threshold = rule.threshold_for(config)
-    label = CLASS_HOT if t_ss >= threshold else CLASS_COLD
-    return ClassificationResult(steady_temperature=t_ss, threshold=threshold, label=label)
+    """Label one reservoir configuration from its closed-form steady temperature."""
+    t_ss, thresholds, labels = _label(
+        np.array([config.temperatures]), np.array([config.rates]), rule, config.omega_s
+    )
+    return ClassificationResult(steady_temperature=t_ss[0], threshold=thresholds[0], label=labels[0])
 
 
 def thermalization_curves(
@@ -118,41 +128,15 @@ def gamma_sweep(
         raise ValueError(f"need at least 3 sweep points, got {n_points}")
     if gamma_total <= 0:
         raise ValueError(f"gamma_total must be positive, got {gamma_total}")
+    # the guards, once, in the order the sweep meets them: (T2, Gamma) alone first, (T1, Gamma) last
+    for temperature in (t2, t1):
+        lindblad.make_config((temperature,), (gamma_total,), omega)
     deltas = np.linspace(-gamma_total / 2.0, gamma_total / 2.0, n_points)
-    rows = []
-    for d in deltas:
-        g1 = gamma_total / 2.0 + d
-        g2 = gamma_total / 2.0 - d
-        if g2 == 0.0:
-            t_ss = lindblad.steady_temperature(lindblad.make_config((t1,), (g1,), omega))
-        elif g1 == 0.0:
-            t_ss = lindblad.steady_temperature(lindblad.make_config((t2,), (g2,), omega))
-        else:
-            t_ss = lindblad.steady_temperature(lindblad.make_config((t1, t2), (g1, g2), omega))
-        rows.append((float(d), float(g1), float(g2), t_ss))
+    rates = np.column_stack((gamma_total / 2.0 + deltas, gamma_total / 2.0 - deltas))
+    temps = np.tile((t1, t2), (n_points, 1))
+    t_ss = lindblad.steady_temperatures(temps, rates, omega)
+    rows = [(d, g1, g2, t) for d, (g1, g2), t in zip(deltas.tolist(), rates.tolist(), t_ss.tolist())]
     return ResultTable(columns=["delta_gamma", "gamma1", "gamma2", "steady_temperature"], rows=rows)
-
-
-def _label_temperature_point(args) -> LabeledPoint:
-    (x1, x2), gammas, rule, omega = args
-    config = lindblad.make_config((x1, x2), gammas, omega)
-    result = classify(config, rule)
-    return LabeledPoint(features=(x1, x2), steady_temperature=result.steady_temperature, label=result.label)
-
-
-def _label_gamma_point(args) -> LabeledPoint:
-    (x1, x2), temps, rule, omega = args
-    config = lindblad.make_config(temps, (x1, x2), omega)
-    result = classify(config, rule)
-    return LabeledPoint(features=(x1, x2), steady_temperature=result.steady_temperature, label=result.label)
-
-
-def _map_ordered(fn, items, jobs: int):
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def generate_instances(
@@ -163,7 +147,6 @@ def generate_instances(
     rule: DecisionRule,
     fixed,
     omega: float = 1.0,
-    jobs: int = 1,
 ) -> list[LabeledPoint]:
     """Draw n uniform feature pairs and label each by its steady temperature.
 
@@ -177,33 +160,38 @@ def generate_instances(
     (lo1, hi1), (lo2, hi2) = ranges
     if not (0 <= lo1 < hi1 and 0 <= lo2 < hi2):
         raise ValueError(f"ranges must be positive and increasing, got {ranges}")
+    fixed = tuple(float(v) for v in fixed)
     if space == GAMMA_SPACE:
         # reject rate ranges that could leave the weak-coupling regime
-        if max(hi1, hi2) / omega > lindblad.WEAK_COUPLING_MAX:
+        if max(hi1, hi2) > lindblad.WEAK_COUPLING_MAX * omega:
             raise ValueError(
                 f"rate range upper bound {max(hi1, hi2)} violates the weak-coupling "
-                f"guard {lindblad.WEAK_COUPLING_MAX} * omega"
+                f"guard {lindblad.WEAK_COUPLING_MAX} * omega = {lindblad.WEAK_COUPLING_MAX * omega}"
             )
-        worker = _label_gamma_point
+        lindblad.make_config(fixed, (hi1, hi2), omega)
     elif space == TEMPERATURE_SPACE:
-        worker = _label_temperature_point
+        lindblad.make_config((hi1, hi2), fixed, omega)
     else:
         raise ValueError(f"space must be {GAMMA_SPACE!r} or {TEMPERATURE_SPACE!r}, got {space!r}")
+    # every instance shares the fixed values and draws its features inside
+    # the ranges, so the guards checked above hold for all of them
 
     rng = np.random.default_rng(seed)
     x1 = rng.uniform(lo1, hi1, n)
     x2 = rng.uniform(lo2, hi2, n)
-    fixed = tuple(float(v) for v in fixed)
-    return _map_ordered(worker, [((a, b), fixed, rule, omega) for a, b in zip(x1, x2)], jobs)
+    features = np.column_stack((x1, x2))
+    pinned = np.tile(fixed, (n, 1))
+    temps, rates = (pinned, features) if space == GAMMA_SPACE else (features, pinned)
+    t_ss, thresholds, labels = _label(temps, rates, rule, omega)
+    return [
+        LabeledPoint(features=(a, b), steady_temperature=t, label=label, threshold=threshold)
+        for (a, b), t, threshold, label in zip(features.tolist(), t_ss, thresholds, labels)
+    ]
 
 
-def activation(kind: str, y: float) -> float:
-    """step: +-1 with the tie at zero resolved to +1; linear: the identity."""
-    if kind == "step":
-        return 1.0 if y >= 0 else -1.0
-    if kind == "linear":
-        return float(y)
-    raise ValueError(f"unknown activation {kind!r}")
+def step(y: float) -> float:
+    """Step activation: +-1 with the tie at zero resolved to +1."""
+    return 1.0 if y >= 0 else -1.0
 
 
 @dataclass(frozen=True)
@@ -212,13 +200,12 @@ class Perceptron:
 
     weights: tuple
     bias: float
-    activation: str = "step"
 
     def score(self, features) -> float:
         return float(np.dot(self.weights, features) + self.bias)
 
     def predict(self, features) -> float:
-        return activation(self.activation, self.score(features))
+        return step(self.score(features))
 
 
 @dataclass(frozen=True)
@@ -264,7 +251,7 @@ def perceptron_fit(
     for epoch in range(1, max_epochs + 1):
         errors = 0
         for xi, yi in zip(xs, y):
-            if activation("step", float(w @ xi + b)) != yi:
+            if step(float(w @ xi + b)) != yi:
                 w += learning_rate * yi * xi
                 b += learning_rate * yi
                 errors += 1

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-guard violation,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,10 @@ from .tables import ResultTable, format_value, write_csv
 
 
 def _parse_float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_int(text: str) -> int:
@@ -30,7 +34,7 @@ def _parse_floats(text: str) -> tuple:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_pairs(text: str) -> tuple:
@@ -231,11 +235,8 @@ def _cmd_sweep_gamma(config: RunConfig, args) -> ResultTable:
     return classifier.gamma_sweep(s["t1"], s["t2"], s["gamma_total"], s["n_points"], s["omega"])
 
 
-def _instances_table(points, rule, feature_names) -> ResultTable:
-    rows = []
-    for p in points:
-        threshold = rule.theta if rule.mode == "fixed_threshold" else (p.features[0] + p.features[1]) / 2.0
-        rows.append((p.features[0], p.features[1], p.steady_temperature, threshold, p.label))
+def _instances_table(points, feature_names) -> ResultTable:
+    rows = [(*p.features, p.steady_temperature, p.threshold, p.label) for p in points]
     return ResultTable(
         columns=[*feature_names, "steady_temperature", "threshold", "label"], rows=rows
     )
@@ -247,14 +248,9 @@ def _cmd_classify_gamma(config: RunConfig, args) -> ResultTable:
     points = classifier.generate_instances(
         classifier.GAMMA_SPACE, s["n"],
         ((s["gamma_min"], s["gamma_max"]), (s["gamma_min"], s["gamma_max"])),
-        seed=s["seed"], rule=rule, fixed=(s["t1"], s["t2"]), omega=s["omega"], jobs=args.jobs,
+        seed=s["seed"], rule=rule, fixed=(s["t1"], s["t2"]), omega=s["omega"],
     )
-    table = _instances_table(points, rule, ("gamma1", "gamma2"))
-    if rule.mode == "instance_mean":
-        # fixed temperatures: the per-instance mean threshold is one number
-        threshold = (s["t1"] + s["t2"]) / 2.0
-        table.rows = [row[:3] + (threshold,) + row[4:] for row in table.rows]
-    return table
+    return _instances_table(points, ("gamma1", "gamma2"))
 
 
 def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
@@ -263,9 +259,9 @@ def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
     points = classifier.generate_instances(
         classifier.TEMPERATURE_SPACE, s["n"],
         ((s["t_min"], s["t_max"]), (s["t_min"], s["t_max"])),
-        seed=s["seed"], rule=rule, fixed=(s["gamma"], s["gamma"]), omega=s["omega"], jobs=args.jobs,
+        seed=s["seed"], rule=rule, fixed=(s["gamma"], s["gamma"]), omega=s["omega"],
     )
-    return _instances_table(points, rule, ("t1", "t2"))
+    return _instances_table(points, ("t1", "t2"))
 
 
 def _cmd_collide(config: RunConfig, args) -> ResultTable:
@@ -397,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file (see README for the schema)")
         p.add_argument("--out", help="output CSV path")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for instance evaluation (default: logical cores)")
+        p.add_argument("--jobs", type=int,
+                       help="accepted and ignored, so that older scripts keep working")
         p.add_argument("--svg", action="store_true",
                        help="also render a static SVG next to the CSV")
         if name == "verify":

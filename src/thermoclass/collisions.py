@@ -7,13 +7,14 @@ interleaving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmat
 from .errors import GuardViolation
-from .lindblad import thermal_occupation, _population_temperature
+from .lindblad import boltzmann_temperature, thermal_occupation
 
 # Weak-coupling guard on the collision coupling relative to the qubit frequency.
 COUPLING_RATIO_MAX = 0.1
@@ -37,12 +38,12 @@ class CollisionConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
-        if self.coupling <= 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if self.tau < 0:
-            raise ValueError(f"collision time must be >= 0, got {self.tau}")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be finite and positive, got {self.frequency}")
+        if not 0 < self.coupling < math.inf:
+            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"collision time must be finite and >= 0, got {self.tau}")
         if self.coupling / self.frequency > COUPLING_RATIO_MAX:
             raise GuardViolation(
                 f"coupling/frequency = {self.coupling / self.frequency:.3g} exceeds "
@@ -52,10 +53,10 @@ class CollisionConfig:
         if not self.reservoirs:
             raise ValueError("at least one reservoir is required")
         for t, p in self.reservoirs:
-            if t < 0:
-                raise ValueError(f"reservoir temperature must be >= 0, got {t}")
-            if p <= 0:
-                raise ValueError(f"reservoir probability must be positive, got {p}")
+            if not 0 <= t < math.inf:
+                raise ValueError(f"reservoir temperature must be finite and >= 0, got {t}")
+            if not 0 < p < math.inf:
+                raise ValueError(f"reservoir probability must be finite and positive, got {p}")
         total = sum(p for _, p in self.reservoirs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"reservoir probabilities sum to {total}, expected 1")
@@ -160,17 +161,10 @@ def run_collisions(
             indices.append(i)
             states.append(rho.copy())
 
-    temps = np.array(
-        [_population_temperature(s[1, 1].real, s[0, 0].real, config.frequency) for s in states]
+    temps = boltzmann_temperature(
+        [s[1, 1].real for s in states], [s[0, 0].real for s in states], config.frequency
     )
     return CollisionTrajectory(indices=np.asarray(indices), states=states, temperatures=temps)
-
-
-def has_converged(traj: CollisionTrajectory, tol: float) -> bool:
-    """True once the last two recorded states are closer than tol in trace distance."""
-    if len(traj.states) < 2:
-        raise ValueError("need at least two recorded states")
-    return qmat.trace_distance(traj.states[-1], traj.states[-2]) < tol
 
 
 def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated: bool = True):

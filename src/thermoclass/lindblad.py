@@ -31,12 +31,12 @@ class ThermalBath:
     frequency: float
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError(f"bath temperature must be >= 0, got {self.temperature}")
-        if self.rate <= 0:
-            raise ValueError(f"bath rate must be positive, got {self.rate}")
-        if self.frequency <= 0:
-            raise ValueError(f"bath frequency must be positive, got {self.frequency}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"bath temperature must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"bath rate must be finite and positive, got {self.rate}")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError(f"bath frequency must be finite and positive, got {self.frequency}")
 
     @property
     def occupation(self) -> float:
@@ -51,8 +51,8 @@ class SystemConfig:
     baths: tuple[ThermalBath, ...]
 
     def __post_init__(self):
-        if self.omega_s <= 0:
-            raise ValueError(f"qubit frequency must be positive, got {self.omega_s}")
+        if not 0 < self.omega_s < math.inf:
+            raise ValueError(f"qubit frequency must be finite and positive, got {self.omega_s}")
         object.__setattr__(self, "baths", tuple(self.baths))
         if not self.baths:
             raise ValueError("at least one bath is required")
@@ -68,6 +68,14 @@ class SystemConfig:
                     f"{WEAK_COUPLING_MAX} * omega_s = {WEAK_COUPLING_MAX * self.omega_s}"
                 )
 
+    @property
+    def temperatures(self) -> tuple[float, ...]:
+        return tuple(b.temperature for b in self.baths)
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        return tuple(b.rate for b in self.baths)
+
 
 def make_config(temperatures, rates, omega: float = 1.0) -> SystemConfig:
     """Build a SystemConfig from parallel temperature/rate lists, all resonant."""
@@ -82,14 +90,18 @@ def make_config(temperatures, rates, omega: float = 1.0) -> SystemConfig:
 
 
 def thermal_occupation(omega: float, temperature: float) -> float:
-    """Mean occupation 1/(exp(omega/T) - 1) of a mode at temperature T; 0 at T=0."""
+    """Mean occupation 1/(exp(omega/T) - 1) of a mode at temperature T; 0 at
+    T=0 and wherever exp(omega/T) overflows."""
     if omega <= 0:
         raise ValueError(f"mode frequency must be positive, got {omega}")
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0:
         return 0.0
-    return 1.0 / math.expm1(omega / temperature)
+    try:
+        return 1.0 / math.expm1(omega / temperature)
+    except OverflowError:
+        return 0.0
 
 
 def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -178,31 +190,56 @@ class Trajectory:
         return float(self.temperatures[-1])
 
 
-def _population_temperature(p_g: float, p_e: float, omega: float) -> float:
-    """Boltzmann-ratio temperature, permissive: 0 for an empty excited level,
-    inf for equal populations, NaN for inverted populations."""
-    if p_e <= 0.0:
-        return 0.0
-    if p_e > p_g:
-        return math.nan
-    if p_e == p_g:
-        return math.inf
-    return omega / math.log(p_g / p_e)
+def boltzmann_temperature(p_g, p_e, omega: float) -> np.ndarray:
+    """Temperature omega / ln(p_g/p_e) of two-level populations, elementwise.
 
-
-def effective_temperature(p_g: float, p_e: float, omega_s: float) -> float:
-    """Temperature assigned to a two-level state via T = omega / ln(p_g/p_e).
-
-    Population inversion (p_e > p_g) is rejected: thermal reservoirs cannot
-    produce it at steady state, so it signals an upstream bug.
+    p_g and p_e may be any pair proportional to the populations. An empty
+    (or roundoff-negative) excited level gives 0, equal populations give inf
+    and inverted populations give NaN.
     """
-    if abs(p_g + p_e - 1.0) > 1e-9:
-        raise ValueError(f"populations must sum to 1, got {p_g + p_e}")
-    if p_g < 0 or p_e < 0:
-        raise ValueError(f"populations must be nonnegative, got ({p_g}, {p_e})")
-    if p_e > p_g:
-        raise ValueError(f"population inversion p_e={p_e} > p_g={p_g} is not thermal")
-    return _population_temperature(p_g, p_e, omega_s)
+    p_g = np.asarray(p_g, dtype=float)
+    p_e = np.asarray(p_e, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        temps = omega / np.log(p_g / p_e)
+    return np.where(p_e <= 0.0, 0.0, np.where(p_e > p_g, math.nan, temps))
+
+
+def _rate_sums(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> tuple:
+    """Per-row decay and excitation rates sum_i Gamma_i (nbar_i + 1) and
+    sum_i Gamma_i nbar_i, summed column by column so that every row adds its
+    baths left to right whatever the number of rows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        # T = 0 and overflowing exp(omega/T) both give nbar = 1/inf = 0
+        nbar = 1.0 / np.expm1(omega / temperatures)
+    return sum((rates * (nbar + 1.0)).T), sum((rates * nbar).T)
+
+
+def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
+    """Closed-form steady temperatures omega / ln(sum Gamma (nbar+1) / sum Gamma nbar)
+    of n reservoir sets at once.
+
+    temperatures and rates are (n, k) arrays, one row per reservoir set; a
+    rate of 0 leaves that bath out. When every bath of a row with a nonzero
+    rate has the same temperature, the result is that temperature exactly,
+    which keeps the boundary of a decision rule exact. Rows whose baths all
+    sit at T = 0 give 0. The weak-coupling guard is the caller's to apply.
+    """
+    temps = np.asarray(temperatures, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    if temps.ndim != 2 or temps.shape != rates.shape or temps.shape[1] == 0:
+        raise ValueError(f"need (n, k) temperatures and rates, got shapes {temps.shape}, {rates.shape}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"qubit frequency must be finite and positive, got {omega}")
+    for name, values in (("temperatures", temps), ("rates", rates)):
+        if not ((values >= 0) & (values < math.inf)).all():
+            raise ValueError(f"{name} must be finite and >= 0")
+    active = rates > 0
+    if not active.any(axis=1).all():
+        raise ValueError("every reservoir set needs a positive rate")
+    down, up = _rate_sums(temps, rates, omega)
+    coldest = np.where(active, temps, math.inf).min(axis=1)
+    hottest = np.where(active, temps, -math.inf).max(axis=1)
+    return np.where(coldest == hottest, coldest, boltzmann_temperature(down, up, omega))
 
 
 def steady_population_ratio(config: SystemConfig) -> float:
@@ -211,11 +248,10 @@ def steady_population_ratio(config: SystemConfig) -> float:
     Exact for any number of reservoirs; +inf when every bath sits at T = 0
     (pure ground steady state).
     """
-    up = sum(b.rate * b.occupation for b in config.baths)
-    down = sum(b.rate * (b.occupation + 1.0) for b in config.baths)
-    if up == 0.0:
+    down, up = _rate_sums(np.array([config.temperatures]), np.array([config.rates]), config.omega_s)
+    if up[0] == 0.0:
         return math.inf
-    return down / up
+    return float(down[0] / up[0])
 
 
 def steady_state(config: SystemConfig) -> np.ndarray:
@@ -228,21 +264,13 @@ def steady_state(config: SystemConfig) -> np.ndarray:
 
 
 def steady_temperature(config: SystemConfig) -> float:
-    """Effective temperature of the steady state."""
-    temps = {b.temperature for b in config.baths}
-    if len(temps) == 1:
-        # identical reservoirs thermalize the qubit to their own temperature;
-        # returning it directly keeps the boundary of the decision rule exact
-        return temps.pop()
-    ratio = steady_population_ratio(config)
-    if math.isinf(ratio):
-        return 0.0
-    return config.omega_s / math.log(ratio)
+    """Effective temperature of the steady state (see steady_temperatures)."""
+    return float(steady_temperatures([config.temperatures], [config.rates], config.omega_s)[0])
 
 
 def mean_bath_temperature(config: SystemConfig) -> float:
     """Arithmetic mean of the reservoir temperatures."""
-    return sum(b.temperature for b in config.baths) / len(config.baths)
+    return sum(config.temperatures) / len(config.baths)
 
 
 def _coord_trace_distance(dy: np.ndarray) -> float:
@@ -315,15 +343,15 @@ def evolve(
 
     drift = max(abs(r[0] + r[1] - 1.0) for r in records)
     states = []
-    temps = []
     for r in records:
         rho = _from_coords(r)
         rho /= np.trace(rho).real
         states.append(rho)
-        temps.append(_population_temperature(rho[1, 1].real, rho[0, 0].real, config.omega_s))
     return Trajectory(
         times=np.asarray(times),
         states=states,
-        temperatures=np.asarray(temps),
+        temperatures=boltzmann_temperature(
+            [s[1, 1].real for s in states], [s[0, 0].real for s in states], config.omega_s
+        ),
         max_trace_drift=drift,
     )

@@ -105,14 +105,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def is_density_matrix(rho: np.ndarray) -> bool:
-    try:
-        validate_density_matrix(rho)
-    except ValueError:
-        return False
-    return True
-
-
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return rho unchanged."""
     rho = np.asarray(rho, dtype=complex)

@@ -11,11 +11,11 @@ from thermoclass.classifier import (
     LabeledPoint,
     NotSeparable,
     Perceptron,
-    activation,
     classify,
     gamma_sweep,
     generate_instances,
     perceptron_fit,
+    step,
     thermalization_curves,
 )
 
@@ -29,6 +29,9 @@ def test_decision_rule_validation():
         DecisionRule(mode="instance_mean", theta=2.0)
     with pytest.raises(ValueError):
         DecisionRule(mode="fixed_threshold")
+    for theta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            DecisionRule.fixed(theta)
 
 
 def test_classify_hot_weighted_pair():
@@ -118,14 +121,15 @@ def test_generate_instances_labels_match_direct_classification():
         direct = classify(lindblad.make_config(p.features, (0.02, 0.02)), rule)
         assert p.label == direct.label
         assert p.steady_temperature == direct.steady_temperature
-
-
-def test_parallel_instance_generation_matches_serial():
-    args = dict(
-        space=GAMMA_SPACE, n=8, ranges=((0.005, 0.1), (0.005, 0.1)), seed=5,
-        rule=DecisionRule.instance_mean(), fixed=(3.0, 1.0),
-    )
-    assert generate_instances(**args, jobs=2) == generate_instances(**args, jobs=1)
+        assert p.threshold == direct.threshold
+    # rate space: the instance-mean threshold is the mean of the fixed temperatures
+    rule = DecisionRule.instance_mean()
+    points = generate_instances(GAMMA_SPACE, 10, ((0.005, 0.1), (0.005, 0.1)), 7, rule, (3.0, 1.0))
+    for p in points:
+        direct = classify(lindblad.make_config((3.0, 1.0), p.features), rule)
+        assert (p.steady_temperature, p.threshold, p.label) == (
+            direct.steady_temperature, 2.0, direct.label
+        )
 
 
 def test_labels_invariant_under_rate_rescaling():
@@ -141,11 +145,9 @@ def test_labels_invariant_under_rate_rescaling():
 
 
 def test_activation():
-    assert activation("step", 0.0) == 1.0
-    assert activation("step", -0.3) == -1.0
-    assert activation("linear", 0.7) == 0.7
-    with pytest.raises(ValueError):
-        activation("relu", 1.0)
+    assert step(0.0) == 1.0
+    assert step(-0.3) == -1.0
+    assert step(0.7) == 1.0
 
 
 def test_perceptron_two_points():

@@ -84,6 +84,45 @@ def test_invalid_parameter_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, text", [
+    ("steady", "temperatures = nan, 1\n"),
+    ("steady", "temperatures = inf, 1\n"),
+    ("steady", "gammas = nan, 0.1\n"),
+    ("classify-temp", "theta = nan\n"),
+    ("classify-temp", "gamma = nan\n"),
+    ("classify-gamma", "t1 = nan\n"),
+    ("collide", "temperatures = nan\n"),
+])
+def test_non_finite_number_exits_2(tmp_path, capsys, command, text):
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(text)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "finite" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("classify-temp", "gamma = 0.5\n", 3),
+    ("classify-temp", "gamma = 0\n", 2),
+    ("classify-gamma", "t1 = -1\n", 2),
+])
+def test_classify_guards_keep_exit_codes(tmp_path, capsys, command, text, code):
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text(text)
+    assert run([command, "--config", str(cfg)]) == code
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_steady_cold_bath_does_not_overflow(tmp_path, capsys):
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text("temperatures = 0.001, 1\n")
+    assert run(["steady", "--config", str(cfg)]) == 0
+    t_ss = float(capsys.readouterr().out.split("=")[1])
+    assert 0.001 <= t_ss <= 1.0
+
+
 def test_missing_config_file_exits_2(capsys):
     assert run(["steady", "--config", "/nonexistent/path.cfg"]) == 2
     capsys.readouterr()

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoclass import qmat
+from thermoclass.classifier import CLASS_HOT, DecisionRule, classify
 from thermoclass.errors import GuardViolation
 from thermoclass import lindblad
 from thermoclass.lindblad import (
     SystemConfig,
     ThermalBath,
-    effective_temperature,
+    boltzmann_temperature,
     evolve,
     lindblad_rhs,
     make_config,
@@ -17,6 +20,7 @@ from thermoclass.lindblad import (
     steady_population_ratio,
     steady_state,
     steady_temperature,
+    steady_temperatures,
     thermal_occupation,
 )
 
@@ -40,6 +44,8 @@ def test_thermal_occupation_values():
     # six-figure anchors
     np.testing.assert_allclose(thermal_occupation(1.0, 1.0), 0.581977, atol=5e-7)
     np.testing.assert_allclose(thermal_occupation(1.0, 3.0), 2.527726, atol=5e-7)
+    # exp(omega/T) overflows a double below T ~ omega/710
+    assert thermal_occupation(1.0, 0.001) == 0.0
 
 
 def test_thermal_occupation_rejects_bad_input():
@@ -60,6 +66,9 @@ def test_config_validation():
         make_config((3.0,), (0.25,))
     with pytest.raises(ValueError):
         ThermalBath(3.0, -0.1, 1.0)
+    for bad in ((math.nan, 0.1, 1.0), (math.inf, 0.1, 1.0), (3.0, math.nan, 1.0), (3.0, 0.1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ThermalBath(*bad)
 
 
 def test_rhs_thermal_fixed_point_single_bath():
@@ -194,28 +203,21 @@ def test_steady_temperature_reference_values():
 
 
 def test_effective_temperature_cases():
-    assert effective_temperature(1.0, 0.0, 1.0) == 0.0
-    assert effective_temperature(0.5, 0.5, 1.0) == math.inf
+    assert boltzmann_temperature(1.0, 0.0, 1.0) == 0.0
+    assert boltzmann_temperature(1.0, -1e-17, 1.0) == 0.0  # roundoff below an empty level
+    assert boltzmann_temperature(0.5, 0.5, 1.0) == math.inf
+    assert math.isnan(boltzmann_temperature(0.4, 0.6, 1.0))
     ratio = steady_population_ratio(make_config((3.0, 1.0), (0.1, 0.1)))
-    t = effective_temperature(ratio / (1.0 + ratio), 1.0 / (1.0 + ratio), 1.0)
+    t = boltzmann_temperature(ratio / (1.0 + ratio), 1.0 / (1.0 + ratio), 1.0)
     assert t == pytest.approx(T_SS_EQUAL, abs=1e-8)
-
-
-def test_effective_temperature_rejects_bad_populations():
-    with pytest.raises(ValueError, match="inversion"):
-        effective_temperature(0.4, 0.6, 1.0)
-    with pytest.raises(ValueError, match="sum"):
-        effective_temperature(0.5, 0.4, 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        effective_temperature(1.1, -0.1, 1.0)
 
 
 def test_effective_temperature_inverts_gibbs():
     rng = np.random.default_rng(6)
-    for temp in rng.uniform(0.2, 8.0, 25):
-        rho = qmat.qubit_thermal_state(1.0, temp)
-        t = effective_temperature(rho[1, 1].real, rho[0, 0].real, 1.0)
-        assert abs(t - temp) < 1e-9
+    temps = rng.uniform(0.2, 8.0, 25)
+    rhos = [qmat.qubit_thermal_state(1.0, temp) for temp in temps]
+    t = boltzmann_temperature([r[1, 1].real for r in rhos], [r[0, 0].real for r in rhos], 1.0)
+    np.testing.assert_allclose(t, temps, rtol=0, atol=1e-9)
 
 
 def test_mean_bath_temperature():
@@ -248,3 +250,77 @@ def test_equal_rate_high_temperature_mean():
         temps = rng.uniform(3.0, 30.0, n)
         config = make_config(temps, [0.05] * n)
         assert abs(steady_temperature(config) - temps.mean()) / temps.mean() <= 0.02
+
+
+def _reference_steady_temperature(temps, rates, omega):
+    """Per-row closed form with math, independent of steady_temperatures."""
+    active = [(t, g) for t, g in zip(temps, rates) if g > 0]
+    if len({t for t, _ in active}) == 1:
+        return active[0][0]
+    nbar = []
+    for t, _ in active:
+        try:
+            nbar.append(0.0 if t == 0 else 1.0 / math.expm1(omega / t))
+        except OverflowError:
+            nbar.append(0.0)
+    up = sum(g * n for (_, g), n in zip(active, nbar))
+    down = sum(g * (n + 1.0) for (_, g), n in zip(active, nbar))
+    return 0.0 if up == 0 else omega / math.log(down / up)
+
+
+# one reservoir set: k baths, each a temperature (0, or cold enough for
+# exp(omega/T) to overflow, up to hot) and a rate (0 or positive; at least
+# one rate positive)
+_temperature = st.one_of(st.just(0.0), st.floats(1e-3, 100.0))
+_rate = st.one_of(st.just(0.0), st.floats(1e-4, 0.2))
+_reservoir_set = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.lists(_temperature, min_size=k, max_size=k),
+                        st.lists(_rate, min_size=k, max_size=k))
+).filter(lambda row: any(g > 0 for g in row[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_reservoir_set, min_size=1, max_size=8), k=st.integers(1, 4),
+       omega=st.floats(0.5, 2.0), shared=st.floats(0.0, 10.0))
+def test_steady_temperatures_match_per_row_math(rows, k, omega, shared):
+    # rows of mixed widths are padded with zero-rate baths up to a common width
+    width = max(k, max(len(t) for t, _ in rows))
+    # plus one row whose baths all share one temperature, with any rates
+    rows = rows + [([shared] * width, [0.05] * width)]
+    temps = np.array([t + [1.0] * (width - len(t)) for t, _ in rows])
+    rates = np.array([g + [0.0] * (width - len(g)) for _, g in rows])
+    got = steady_temperatures(temps, rates, omega)
+    for row_t, row_g, value in zip(temps.tolist(), rates.tolist(), got.tolist()):
+        expected = _reference_steady_temperature(row_t, row_g, omega)
+        active = {t for t, g in zip(row_t, row_g) if g > 0}
+        if len(active) == 1:
+            assert value == expected
+        else:
+            assert value == pytest.approx(expected, rel=1e-12, abs=0)
+    assert got[-1] == shared
+    # one row alone gives the same bits as inside the batch
+    assert steady_temperatures(temps[:1], rates[:1], omega)[0] == got[0]
+
+
+def test_steady_temperatures_boundary_label_is_inclusive():
+    t_ss = steady_temperatures([[3.0, 1.0]], [[0.1, 0.05]])[0]
+    assert t_ss == steady_temperature(make_config((3.0, 1.0), (0.1, 0.05)))
+    assert classify(make_config((3.0, 1.0), (0.1, 0.05)), DecisionRule.fixed(t_ss)).label == CLASS_HOT
+    equal = classify(make_config((2.5, 2.5), (0.1, 0.01)), DecisionRule.fixed(2.5))
+    assert equal.steady_temperature == 2.5 and equal.label == CLASS_HOT
+
+
+def test_steady_temperatures_rejects_bad_input():
+    for temps, rates in (
+        ([[1.0, math.nan]], [[0.1, 0.1]]),
+        ([[1.0, math.inf]], [[0.1, 0.1]]),
+        ([[1.0, 2.0]], [[0.1, math.nan]]),
+        ([[-1.0, 2.0]], [[0.1, 0.1]]),
+        ([[1.0, 2.0]], [[0.0, 0.0]]),
+        ([1.0, 2.0], [0.1, 0.1]),
+        ([[1.0, 2.0]], [[0.1]]),
+    ):
+        with pytest.raises(ValueError):
+            steady_temperatures(temps, rates)
+    with pytest.raises(ValueError, match="frequency"):
+        steady_temperatures([[1.0]], [[0.1]], omega=math.nan)

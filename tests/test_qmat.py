@@ -146,5 +146,3 @@ def test_validate_rejects_bad_states():
         qmat.validate_density_matrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         qmat.validate_density_matrix(np.diag([1.2, -0.2]).astype(complex))
-    assert not qmat.is_density_matrix(np.diag([1.2, -0.2]))
-    assert qmat.is_density_matrix(np.diag([0.2, 0.8]))
