@@ -19,14 +19,14 @@ from .classifier import (
     perceptron_fit,
     thermalization_curves,
 )
-from .collisions import CollisionConfig, CollisionTrajectory, run_collisions, single_collision
+from .channel import Trajectory, boltzmann_temperature
+from .collisions import CollisionConfig, run_collisions, single_collision
 from .errors import ConfigError, GuardViolation
 from .lindblad import (
     SystemConfig,
     ThermalBath,
-    Trajectory,
-    boltzmann_temperature,
     evolve,
+    evolve_many,
     lindblad_rhs,
     make_config,
     mean_bath_temperature,
@@ -43,7 +43,6 @@ __all__ = [
     "BudgetReport",
     "ClassificationResult",
     "CollisionConfig",
-    "CollisionTrajectory",
     "ConfigError",
     "DecisionRule",
     "DispersivePair",
@@ -60,6 +59,7 @@ __all__ = [
     "classify",
     "effective_coupling",
     "evolve",
+    "evolve_many",
     "gamma_sweep",
     "generate_instances",
     "lindblad_rhs",

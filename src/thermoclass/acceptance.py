@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classifier, collisions, lindblad, qmat, tables, transmon
+from . import channel, classifier, collisions, lindblad, qmat, tables, transmon
 
 # Closed-form steady temperatures for the reference two-reservoir runs
 # (T1=3, T2=1) with rate pairs (0.1, 0.1), (0.1, 0.05), (0.05, 0.1),
@@ -111,10 +111,10 @@ def check_homogenization() -> CriterionResult:
             frequency=1.0, coupling=0.05, tau=1.0, reservoirs=((temp, 1.0),)
         )
         traj = collisions.run_collisions(qmat.ground_state(), config, n=6000)
-        target = qmat.qubit_thermal_state(1.0, temp)
-        dists = [qmat.trace_distance(s, target) for s in traj.states]
-        below = [i for i, d in zip(traj.indices, dists) if d < 1e-3]
-        if not below or dists[-1] >= 1e-3:
+        target = channel.to_coords(qmat.qubit_thermal_state(1.0, temp))
+        dists = channel.trace_distances(traj.coords - target)
+        below = traj.times[dists < 1e-3]
+        if not len(below) or dists[-1] >= 1e-3:
             ok = False
             counts[temp] = None
         else:

@@ -95,23 +95,13 @@ def classify(config: lindblad.SystemConfig, rule: DecisionRule) -> Classificatio
 def thermalization_curves(
     configs, t_end: float = 2000.0, dt: float = 0.05, sample_every: float = 1.0
 ) -> ResultTable:
-    """Integrate each configuration from the ground state (zero temperature)
-    on a shared time grid and tabulate the effective temperature curves."""
-    configs = list(configs)
-    if not configs:
-        raise ValueError("at least one configuration is required")
-    trajectories = [
-        lindblad.evolve(
-            cfg, qmat.ground_state(), t_end, dt, record_every=sample_every, stop_tol=None
-        )
-        for cfg in configs
-    ]
-    times = trajectories[0].times
-    columns = ["time"] + [f"T_S_curve{i + 1}" for i in range(len(configs))]
-    rows = [
-        tuple([times[k]] + [float(traj.temperatures[k]) for traj in trajectories])
-        for k in range(len(times))
-    ]
+    """Integrate all configurations together from the ground state (zero
+    temperature) on a shared time grid and tabulate the effective
+    temperature curves."""
+    trajectories = lindblad.evolve_many(configs, qmat.ground_state(), t_end, dt, record_every=sample_every)
+    temperatures = np.column_stack([traj.temperatures for traj in trajectories])
+    columns = ["time"] + [f"T_S_curve{i + 1}" for i in range(len(trajectories))]
+    rows = [(t, *row) for t, row in zip(trajectories[0].times.tolist(), temperatures.tolist())]
     return ResultTable(columns=columns, rows=rows)
 
 

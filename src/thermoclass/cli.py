@@ -289,10 +289,7 @@ def _cmd_collide(config: RunConfig, args) -> ResultTable:
     traj = collisions.run_collisions(
         qmat.ground_state(), collision_config, n=s["collisions"], record_every=s["record_every"]
     )
-    rows = [
-        (int(i), float(state[0, 0].real), float(t))
-        for i, state, t in zip(traj.indices, traj.states, traj.temperatures)
-    ]
+    rows = list(zip(traj.times.tolist(), traj.coords[:, 0].tolist(), traj.temperatures.tolist()))
     return ResultTable(columns=["collision", "p_excited", "temperature"], rows=rows)
 
 

@@ -7,14 +7,17 @@ interleaving.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
+from . import channel, qmat
+from .channel import Trajectory
 from .errors import GuardViolation
-from .lindblad import boltzmann_temperature, thermal_occupation
+from .lindblad import thermal_occupation
 
 # Weak-coupling guard on the collision coupling relative to the qubit frequency.
 COUPLING_RATIO_MAX = 0.1
@@ -106,35 +109,15 @@ def single_collision(rho_s: np.ndarray, temperature: float, config: CollisionCon
     return _collide(rho_s, qmat.qubit_thermal_state(config.frequency, temperature), u)
 
 
-@dataclass
-class CollisionTrajectory:
-    """States recorded along a collision sequence, by collision count."""
-
-    indices: np.ndarray
-    states: list
-    temperatures: np.ndarray
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.states) or len(self.indices) != len(self.temperatures):
-            raise ValueError("indices, states and temperatures must have equal length")
-        if np.any(np.diff(self.indices) <= 0):
-            raise ValueError("collision indices must be strictly increasing")
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def final_temperature(self) -> float:
-        return float(self.temperatures[-1])
-
-
 def run_collisions(
     rho0: np.ndarray, config: CollisionConfig, n: int, record_every: int = 1
-) -> CollisionTrajectory:
+) -> Trajectory:
     """Apply n collisions starting from rho0, recording every record_every-th
-    state (collision 0 and n always included).
+    state (collision 0 and n always included); the trajectory's times are
+    collision counts.
 
+    Each reservoir's collision is a fixed linear map on the qubit, built once
+    as a 4x4 matrix by applying the collision to the coordinate basis.
     mixture: every step applies rho -> sum_i p_i Lambda_i[rho].
     sampled: every step draws one reservoir (deterministic under the seed).
     """
@@ -145,26 +128,22 @@ def run_collisions(
     qmat.validate_density_matrix(rho0, "initial state")
 
     u = qmat.unitary_propagator(flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
-    ancillas = [qmat.qubit_thermal_state(config.frequency, t) for t in config.temperatures]
+    maps = [
+        channel.matrix_of(
+            functools.partial(_collide, rho_ancilla=qmat.qubit_thermal_state(config.frequency, t), propagator=u)
+        )
+        for t in config.temperatures
+    ]
     probs = np.asarray(config.probabilities)
-    rng = np.random.default_rng(config.seed) if config.schedule == "sampled" else None
+    if config.schedule == "mixture":
+        steps = itertools.repeat(sum(p * m for p, m in zip(probs, maps)), n)
+    else:
+        # one draw of all n indices gives the same stream as n single draws
+        picks = np.random.default_rng(config.seed).choice(len(maps), size=n, p=probs)
+        steps = map(maps.__getitem__, picks.tolist())
 
-    rho = np.asarray(rho0, dtype=complex)
-    indices = [0]
-    states = [rho.copy()]
-    for i in range(1, n + 1):
-        if rng is None:
-            rho = sum(p * _collide(rho, anc, u) for p, anc in zip(probs, ancillas))
-        else:
-            rho = _collide(rho, ancillas[rng.choice(len(ancillas), p=probs)], u)
-        if i % record_every == 0 or i == n:
-            indices.append(i)
-            states.append(rho.copy())
-
-    temps = boltzmann_temperature(
-        [s[1, 1].real for s in states], [s[0, 0].real for s in states], config.frequency
-    )
-    return CollisionTrajectory(indices=np.asarray(indices), states=states, temperatures=temps)
+    marks, coords = channel.propagate(channel.to_coords(np.asarray(rho0, dtype=complex)), steps, record_every)
+    return Trajectory(times=marks, coords=coords, omega=config.frequency)
 
 
 def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated: bool = True):

@@ -8,12 +8,14 @@ scaled by the common mode frequency omega.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
+from . import channel, qmat
+from .channel import Trajectory
 from .errors import GuardViolation
 
 # Weak-coupling guard: relaxation rates must stay well below the qubit frequency.
@@ -131,27 +133,6 @@ def lindblad_rhs(config: SystemConfig, rho: np.ndarray) -> np.ndarray:
     return _apply_generator(config, np.asarray(rho, dtype=complex))
 
 
-# Real coordinates (p_e, p_g, Re c, Im c) with c the |e><g| coherence; the
-# basis variations below are d(rho)/d(coordinate).
-_COORD_BASIS = (
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
-)
-
-
-def _to_coords(rho: np.ndarray) -> np.ndarray:
-    return np.array(
-        [rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag], dtype=float
-    )
-
-
-def _from_coords(y: np.ndarray) -> np.ndarray:
-    c = y[2] + 1j * y[3]
-    return np.array([[y[0], c], [np.conj(c), y[1]]], dtype=complex)
-
-
 def real_generator(config: SystemConfig) -> np.ndarray:
     """4x4 real matrix K with dy/dt = K y on (p_e, p_g, Re c, Im c).
 
@@ -159,59 +140,17 @@ def real_generator(config: SystemConfig) -> np.ndarray:
     the coordinate basis variations, so it is the same linear map as
     lindblad_rhs by construction.
     """
-    k = np.empty((4, 4), dtype=float)
-    for j, basis in enumerate(_COORD_BASIS):
-        k[:, j] = _to_coords(_apply_generator(config, basis))
-    return k
-
-
-@dataclass
-class Trajectory:
-    """Recorded time evolution: states renormalized to unit trace, with the
-    effective temperature of each (NaN where populations are inverted)."""
-
-    times: np.ndarray
-    states: list
-    temperatures: np.ndarray
-    max_trace_drift: float = 0.0
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states) or len(self.times) != len(self.temperatures):
-            raise ValueError("times, states and temperatures must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
-    def final_temperature(self) -> float:
-        return float(self.temperatures[-1])
-
-
-def boltzmann_temperature(p_g, p_e, omega: float) -> np.ndarray:
-    """Temperature omega / ln(p_g/p_e) of two-level populations, elementwise.
-
-    p_g and p_e may be any pair proportional to the populations. An empty
-    (or roundoff-negative) excited level gives 0, equal populations give inf
-    and inverted populations give NaN.
-    """
-    p_g = np.asarray(p_g, dtype=float)
-    p_e = np.asarray(p_e, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        temps = omega / np.log(p_g / p_e)
-    return np.where(p_e <= 0.0, 0.0, np.where(p_e > p_g, math.nan, temps))
+    return channel.matrix_of(lambda rho: _apply_generator(config, rho))
 
 
 def _rate_sums(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> tuple:
-    """Per-row decay and excitation rates sum_i Gamma_i (nbar_i + 1) and
+    """Per-row total rates sum_i Gamma_i and excitation rates
     sum_i Gamma_i nbar_i, summed column by column so that every row adds its
     baths left to right whatever the number of rows."""
     with np.errstate(divide="ignore", over="ignore"):
         # T = 0 and overflowing exp(omega/T) both give nbar = 1/inf = 0
         nbar = 1.0 / np.expm1(omega / temperatures)
-    return sum((rates * (nbar + 1.0)).T), sum((rates * nbar).T)
+    return sum(rates.T), sum((rates * nbar).T)
 
 
 def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
@@ -236,10 +175,14 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     active = rates > 0
     if not active.any(axis=1).all():
         raise ValueError("every reservoir set needs a positive rate")
-    down, up = _rate_sums(temps, rates, omega)
+    total, up = _rate_sums(temps, rates, omega)
+    with np.errstate(divide="ignore"):
+        # the ratio is 1 + total/up; log1p keeps baths so hot that the ratio
+        # rounds to 1 finite, and up = 0 (all baths at T = 0) gives omega/inf = 0
+        t_ss = omega / np.log1p(total / up)
     coldest = np.where(active, temps, math.inf).min(axis=1)
     hottest = np.where(active, temps, -math.inf).max(axis=1)
-    return np.where(coldest == hottest, coldest, boltzmann_temperature(down, up, omega))
+    return np.where(coldest == hottest, coldest, t_ss)
 
 
 def steady_population_ratio(config: SystemConfig) -> float:
@@ -248,10 +191,10 @@ def steady_population_ratio(config: SystemConfig) -> float:
     Exact for any number of reservoirs; +inf when every bath sits at T = 0
     (pure ground steady state).
     """
-    down, up = _rate_sums(np.array([config.temperatures]), np.array([config.rates]), config.omega_s)
+    total, up = _rate_sums(np.array([config.temperatures]), np.array([config.rates]), config.omega_s)
     if up[0] == 0.0:
         return math.inf
-    return float(down[0] / up[0])
+    return float(1.0 + total[0] / up[0])
 
 
 def steady_state(config: SystemConfig) -> np.ndarray:
@@ -273,12 +216,85 @@ def mean_bath_temperature(config: SystemConfig) -> float:
     return sum(config.temperatures) / len(config.baths)
 
 
-def _coord_trace_distance(dy: np.ndarray) -> float:
-    """Trace distance between two states given the difference of coordinates."""
-    half_split = 0.5 * (dy[0] - dy[1])
-    half_trace = 0.5 * (dy[0] + dy[1])
-    radius = math.hypot(half_split, math.hypot(dy[2], dy[3]))
-    return 0.5 * (abs(half_trace + radius) + abs(half_trace - radius))
+def _rk4_step(config: SystemConfig, dt: float) -> np.ndarray:
+    """The exact one-step matrix of classical RK4 for dy/dt = K y: the
+    degree-4 Taylor polynomial of exp(dt K). Applies the stability guard."""
+    fastest = max(b.rate * (b.occupation + 1.0) for b in config.baths)
+    if dt * fastest > RK4_STABILITY_MAX:
+        raise GuardViolation(
+            f"dt * max(Gamma*(nbar+1)) = {dt * fastest:.3g} exceeds "
+            f"{RK4_STABILITY_MAX}; shrink dt below {RK4_STABILITY_MAX / fastest:.3g}"
+        )
+    hk = dt * real_generator(config)
+    return np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk / 4.0) / 3.0) / 2.0)
+
+
+def _slowest_decay_rate(config: SystemConfig) -> float:
+    """Slowest nonzero decay rate of the generator: all but one of its
+    eigenvalues (the steady state's 0) decay."""
+    return float(np.sort(-np.linalg.eigvals(real_generator(config)).real)[1])
+
+
+def evolve_many(
+    configs,
+    rho0: np.ndarray,
+    t_end: float,
+    dt: float,
+    record_every: float = 1.0,
+    stop_tol: float | None = None,
+) -> list[Trajectory]:
+    """Integrate the master equation of several configurations at once with
+    fixed-step RK4, all from rho0 on one shared time grid.
+
+    The generator is linear and time independent, so the RK4 update is
+    applied as its exact one-step matrix (see _rk4_step), one per
+    configuration, stacked. States are recorded every `record_every` time
+    units plus the final state, each renormalized to unit trace; the raw
+    trace drift is tracked on the side.
+
+    When stop_tol is set, integration stops early once every state is within
+    about stop_tol (trace distance) of its fixed point. The distance is
+    estimated from how far the state moved over the last time unit and the
+    slowest decay rate gamma_min of its generator: the test is
+    moved < stop_tol * (1 - exp(-gamma_min * t_check)). t_end is a hard cap.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("at least one configuration is required")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_end < dt:
+        raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
+    step = np.stack([_rk4_step(config, dt) for config in configs])
+    qmat.validate_density_matrix(rho0, "initial state")
+
+    n_steps = int(round(t_end / dt))
+    record_stride = max(1, int(round(record_every / dt)))
+    check_stride = max(1, int(round(1.0 / dt)))
+    settled = None
+    if stop_tol is not None:
+        t_check = check_stride * dt
+        bounds = np.array(
+            [-stop_tol * math.expm1(-_slowest_decay_rate(config) * t_check) for config in configs]
+        )
+
+        def settled(dy):
+            return bool((channel.trace_distances(dy[..., 0]) < bounds).all())
+
+    y0 = np.tile(channel.to_coords(np.asarray(rho0, dtype=complex))[:, None], (len(configs), 1, 1))
+    marks, records = channel.propagate(
+        y0, itertools.repeat(step, n_steps), record_stride, check_stride, settled
+    )
+    records = records[..., 0]
+    traces = records[..., 0] + records[..., 1]
+    # times the reciprocal, as numpy divides a complex 2x2 state by its real
+    # trace: the curve CSVs are pinned to those bits
+    normalized = records * (1.0 / traces)[..., None]
+    times = marks * dt
+    return [
+        Trajectory(times, normalized[:, j], config.omega_s, float(np.abs(traces[:, j] - 1.0).max()))
+        for j, config in enumerate(configs)
+    ]
 
 
 def evolve(
@@ -289,69 +305,7 @@ def evolve(
     record_every: float = 1.0,
     stop_tol: float | None = 1e-9,
 ) -> Trajectory:
-    """Integrate the master equation with fixed-step RK4.
-
-    The generator is linear and time independent, so the RK4 update is
-    applied as its exact one-step matrix (the degree-4 Taylor polynomial of
-    exp(dt K)); this is arithmetically the classical RK4 step.  States are
-    recorded every `record_every` time units plus the final state, each
-    renormalized to unit trace; the raw trace drift is tracked on the side.
-
-    When stop_tol is set, integration stops early once the state moves less
-    than stop_tol (trace distance) over one time unit; t_end is a hard cap.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < dt:
-        raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
-    fastest = max(b.rate * (b.occupation + 1.0) for b in config.baths)
-    if dt * fastest > RK4_STABILITY_MAX:
-        raise GuardViolation(
-            f"dt * max(Gamma*(nbar+1)) = {dt * fastest:.3g} exceeds "
-            f"{RK4_STABILITY_MAX}; shrink dt below {RK4_STABILITY_MAX / fastest:.3g}"
-        )
-    qmat.validate_density_matrix(rho0, "initial state")
-
-    k = real_generator(config)
-    hk = dt * k
-    step = np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk / 4.0) / 3.0) / 2.0)
-
-    n_steps = int(round(t_end / dt))
-    record_stride = max(1, int(round(record_every / dt)))
-    check_stride = max(1, int(round(1.0 / dt)))
-
-    y = _to_coords(np.asarray(rho0, dtype=complex))
-    times = [0.0]
-    records = [y.copy()]
-    y_check = y.copy()
-    for i in range(1, n_steps + 1):
-        y = step @ y
-        if i % record_stride == 0:
-            times.append(i * dt)
-            records.append(y.copy())
-        if stop_tol is not None and i % check_stride == 0:
-            if _coord_trace_distance(y - y_check) < stop_tol:
-                if i % record_stride != 0:
-                    times.append(i * dt)
-                    records.append(y.copy())
-                break
-            y_check = y.copy()
-    else:
-        if n_steps % record_stride != 0:
-            times.append(n_steps * dt)
-            records.append(y.copy())
-
-    drift = max(abs(r[0] + r[1] - 1.0) for r in records)
-    states = []
-    for r in records:
-        rho = _from_coords(r)
-        rho /= np.trace(rho).real
-        states.append(rho)
-    return Trajectory(
-        times=np.asarray(times),
-        states=states,
-        temperatures=boltzmann_temperature(
-            [s[1, 1].real for s in states], [s[0, 0].real for s in states], config.omega_s
-        ),
-        max_trace_drift=drift,
-    )
+    """Integrate the master equation of one configuration with fixed-step
+    RK4 (see evolve_many), by default stopping early within about 1e-9 of
+    the fixed point."""
+    return evolve_many([config], rho0, t_end, dt, record_every, stop_tol)[0]

@@ -123,6 +123,22 @@ def test_steady_cold_bath_does_not_overflow(tmp_path, capsys):
     assert 0.001 <= t_ss <= 1.0
 
 
+def test_very_hot_unequal_baths_stay_finite(tmp_path, capsys):
+    # sum Gamma (nbar+1) / sum Gamma nbar rounds to 1 at nbar ~ 1e16
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("temperatures = 1e17, 1e16\n")
+    assert run(["steady", "--config", str(cfg)]) == 0
+    t_ss = float(capsys.readouterr().out.split("=")[1])
+    assert t_ss == pytest.approx(5.5e16, rel=1e-9)
+    cfg.write_text("t_max = 1e308\n")
+    out = tmp_path / "instances.csv"
+    assert run(["classify-temp", "--config", str(cfg), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert "inf" not in text and "nan" not in text
+    table = read_csv(out)
+    assert all(0.5 <= t < 1e308 for t in table.column("steady_temperature"))
+
+
 def test_missing_config_file_exits_2(capsys):
     assert run(["steady", "--config", "/nonexistent/path.cfg"]) == 2
     capsys.readouterr()

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoclass import lindblad, qmat
 from thermoclass.collisions import (
+    SCHEDULES,
     CollisionConfig,
     flip_flop_hamiltonian,
     mixture_config,
@@ -100,12 +103,77 @@ def test_single_collision_is_trace_preserving_and_positive():
         assert np.abs(out - out.conj().T).max() < 1e-12
 
 
-def test_run_collisions_single_step_matches_single_collision():
-    rng = np.random.default_rng(3)
-    rho = qmat.random_density_matrix(rng)
-    config = basic_config(3.0)
-    traj = run_collisions(rho, config, n=1)
-    np.testing.assert_array_equal(traj.states[-1], single_collision(rho, 3.0, config))
+_reservoirs = st.lists(
+    st.tuples(st.floats(0.0, 10.0), st.floats(0.05, 1.0)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    reservoirs=_reservoirs,
+    h=st.floats(0.5, 2.0),
+    coupling_ratio=st.floats(1e-3, 0.099),
+    tau=st.floats(0.0, 50.0),
+    schedule=st.sampled_from(SCHEDULES),
+    n=st.integers(1, 4),
+)
+def test_run_collisions_single_step_matches_single_collision(
+    state_seed, reservoirs, h, coupling_ratio, tau, schedule, n
+):
+    # the 4x4 transfer matrices against the joint unitary and partial trace,
+    # collision by collision, for either schedule
+    rho = qmat.random_density_matrix(np.random.default_rng(state_seed))
+    temps = [t for t, _ in reservoirs]
+    weights = np.array([w for _, w in reservoirs])
+    probs = tuple(weights / weights.sum())
+    config = CollisionConfig(
+        h, coupling_ratio * h, tau, tuple(zip(temps, probs)), schedule=schedule, seed=state_seed
+    )
+    traj = run_collisions(rho, config, n=n)
+    rng = np.random.default_rng(state_seed)
+    expected = rho
+    for state in traj.states[1:]:
+        if schedule == "mixture":
+            expected = sum(p * single_collision(expected, t, config) for t, p in zip(temps, probs))
+        else:
+            expected = single_collision(expected, temps[rng.choice(len(temps), p=probs)], config)
+        np.testing.assert_allclose(state, expected, rtol=0.0, atol=1e-14)
+        assert abs(np.trace(state).real - 1.0) < 1e-13
+        assert np.linalg.eigvalsh(state).min() >= -1e-13
+
+
+def _ancilla_excitation(h, temperature):
+    return 0.0 if temperature == 0 else 1.0 / (1.0 + math.exp(h / temperature))
+
+
+def test_collision_matches_analytic_flip_flop_map():
+    # per collision: p_e -> (1 - s^2) p_e + s^2 q with s = sin(J tau), and the
+    # coherence is scaled by cos(J tau) and rotated by h tau
+    h, coupling, tau = 1.3, 0.07, 2.5
+    rng = np.random.default_rng(8)
+    s2, cos_jt = math.sin(coupling * tau) ** 2, math.cos(coupling * tau)
+    for temp in (0.0, 0.4, 2.0, 7.0):
+        config = CollisionConfig(h, coupling, tau, ((temp, 1.0),))
+        rho = qmat.random_density_matrix(rng)
+        out = run_collisions(rho, config, n=1).final_state
+        q = _ancilla_excitation(h, temp)
+        assert out[0, 0].real == pytest.approx((1.0 - s2) * rho[0, 0].real + s2 * q, abs=1e-15)
+        np.testing.assert_allclose(out[0, 1], cos_jt * np.exp(-1j * h * tau) * rho[0, 1], atol=1e-15)
+
+
+def test_mixture_fixed_point_is_mean_ancilla_excitation():
+    # the populations relax geometrically, by 1 - sin^2(J tau) per collision,
+    # toward sum_i p_i q_i; roundoff accumulates over the ~1/sin^2(J tau) = 400
+    # collisions the state remembers
+    h, coupling, tau = 1.0, 0.05, 1.0
+    reservoirs = ((3.0, 0.2), (1.0, 0.5), (0.25, 0.3))
+    config = CollisionConfig(h, coupling, tau, reservoirs)
+    fixed = sum(p * _ancilla_excitation(h, t) for t, p in reservoirs)
+    keep = 1.0 - math.sin(coupling * tau) ** 2
+    traj = run_collisions(qmat.ground_state(), config, n=12000, record_every=100)
+    np.testing.assert_allclose(traj.coords[:, 0], fixed * (1.0 - keep ** traj.times), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.coords[-1, :2], (fixed, 1.0 - fixed), rtol=0.0, atol=1e-12)
 
 
 def test_run_collisions_composition():
@@ -121,7 +189,7 @@ def test_run_collisions_composition():
 
 def test_run_collisions_recording():
     traj = run_collisions(qmat.ground_state(), basic_config(), n=25, record_every=10)
-    np.testing.assert_array_equal(traj.indices, [0, 10, 20, 25])
+    np.testing.assert_array_equal(traj.times, [0, 10, 20, 25])
     assert traj.temperatures[0] == 0.0
     with pytest.raises(ValueError):
         run_collisions(qmat.ground_state(), basic_config(), n=0)

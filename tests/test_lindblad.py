@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoclass import qmat
+from thermoclass import channel, qmat
+from thermoclass.channel import boltzmann_temperature
 from thermoclass.classifier import CLASS_HOT, DecisionRule, classify
 from thermoclass.errors import GuardViolation
 from thermoclass import lindblad
 from thermoclass.lindblad import (
     SystemConfig,
     ThermalBath,
-    boltzmann_temperature,
     evolve,
+    evolve_many,
     lindblad_rhs,
     make_config,
     mean_bath_temperature,
@@ -106,10 +107,10 @@ def test_real_generator_matches_rhs():
     for _ in range(10):
         config = random_config(rng)
         rho = qmat.random_density_matrix(rng)
-        coords = lindblad._to_coords(rho)
+        coords = channel.to_coords(rho)
         np.testing.assert_allclose(
             lindblad.real_generator(config) @ coords,
-            lindblad._to_coords(lindblad_rhs(config, rho)),
+            channel.to_coords(lindblad_rhs(config, rho)),
             atol=1e-13,
         )
 
@@ -119,6 +120,32 @@ def test_evolve_reference_asymptotes():
         config = make_config((3.0, 1.0), rates)
         traj = evolve(config, qmat.ground_state(), t_end=2000.0, dt=0.05)
         assert abs(traj.final_temperature - expected) < 1e-3
+
+
+def test_evolve_does_not_stop_early_when_relaxation_is_slow():
+    # at rates 1e-10 the state moves less than 1e-9 per time unit from the
+    # start, far from its steady temperature 2.014; the stop test must scale
+    # with the slowest decay rate instead of reading that as convergence
+    config = make_config((3.0, 1.0), (1e-10, 1e-10))
+    traj = evolve(config, qmat.ground_state(), t_end=200.0, dt=0.05)
+    assert traj.times[-1] == 200.0
+    # at ordinary rates it still stops long before the cap, within about
+    # stop_tol of the steady state
+    config = make_config((3.0, 1.0), (0.1, 0.1))
+    traj = evolve(config, qmat.ground_state(), t_end=4000.0, dt=0.05, stop_tol=1e-9)
+    assert traj.times[-1] < 100.0
+    assert qmat.trace_distance(traj.final_state, steady_state(config)) < 1e-9
+
+
+def test_evolve_many_matches_one_at_a_time():
+    configs = [make_config((3.0, 1.0), rates) for rates in ((0.1, 0.1), (0.1, 0.05), (0.02, 0.1))]
+    rho0 = qmat.random_density_matrix(np.random.default_rng(5))
+    together = evolve_many(configs, rho0, t_end=60.0, dt=0.05, record_every=2.5)
+    for config, traj in zip(configs, together):
+        alone = evolve(config, rho0, t_end=60.0, dt=0.05, record_every=2.5, stop_tol=None)
+        np.testing.assert_array_equal(traj.times, alone.times)
+        np.testing.assert_array_equal(traj.coords, alone.coords)
+        assert traj.max_trace_drift == alone.max_trace_drift
 
 
 def test_evolve_fixed_point_stays_constant():
