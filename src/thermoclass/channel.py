@@ -3,11 +3,14 @@
 keeps matrices Hermitian acts on it as a real 4x4 matrix. The master
 equation (one RK4 step) and the collision model (one collision) are both such
 maps, so both step these coordinates through one propagate-and-record loop
-and record into one Trajectory type.
+and record into one Trajectory type. Nothing reads the state between two
+records or early-stop checks, so the loop applies one precomposed matrix per
+such interval instead of one per step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,21 +57,26 @@ def trace_distances(dy: np.ndarray) -> np.ndarray:
     return 0.5 * (np.abs(half_trace + radius) + np.abs(half_trace - radius))
 
 
-def propagate(y, steps, record_every: int, check_every: int = 1, settled=None) -> tuple:
-    """Apply the matrices of the iterable `steps` to y one after the other.
+def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) -> tuple:
+    """Apply the blocks of the iterable `blocks`, (count, matrix) pairs, to y
+    one after the other; each matrix advances y by `count` steps at once.
 
-    y and each step may carry leading batch axes (y of shape (b, 4, 1) with
-    steps of shape (b, 4, 4) steps b states at once). Records the start,
+    y and each matrix may carry leading batch axes (y of shape (b, 4, 1) with
+    matrices of shape (b, 4, 4) steps b states at once). Records the start,
     every record_every-th state and the last one. With `settled`, every
     check_every-th step calls settled(y - y_then), y_then being the state
-    check_every steps earlier, and stops once it returns True. Returns the
-    step counts of the records and the records stacked on a new first axis.
+    check_every steps earlier, and stops once it returns True. Records and
+    checks are made only where a block ends, so every multiple of
+    record_every and check_every must be a block end (see repeated).
+    Returns the step counts of the records and the records stacked on a new
+    first axis.
     """
     marks, records = [0], [y]
     y_check = y
     i = 0
-    for i, step in enumerate(steps, 1):
-        y = step @ y
+    for count, block in blocks:
+        y = block @ y
+        i += count
         if i % record_every == 0:
             marks.append(i)
             records.append(y)
@@ -80,6 +88,17 @@ def propagate(y, steps, record_every: int, check_every: int = 1, settled=None) -
         marks.append(i)
         records.append(y)
     return np.asarray(marks), np.stack(records)
+
+
+def repeated(step: np.ndarray, n: int, block: int):
+    """n applications of one (possibly stacked) step matrix as blocks for
+    propagate: step**block, n // block times, then step**(n % block) if
+    that remainder is not 0."""
+    full, rest = divmod(n, block)
+    blocks = itertools.repeat((block, np.linalg.matrix_power(step, block)), full)
+    if rest:
+        blocks = itertools.chain(blocks, [(rest, np.linalg.matrix_power(step, rest))])
+    return blocks
 
 
 def boltzmann_temperature(p_g, p_e, omega: float) -> np.ndarray:

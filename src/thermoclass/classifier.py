@@ -56,7 +56,7 @@ class DecisionRule:
     def thresholds(self, temperatures: np.ndarray) -> np.ndarray:
         """Threshold of each row of an (n, k) array of bath temperatures."""
         if self.mode == "instance_mean":
-            return sum(temperatures.T) / temperatures.shape[1]
+            return lindblad.mean_temperatures(temperatures)
         return np.full(len(temperatures), float(self.theta))
 
 

@@ -120,6 +120,7 @@ def run_collisions(
     as a 4x4 matrix by applying the collision to the coordinate basis.
     mixture: every step applies rho -> sum_i p_i Lambda_i[rho].
     sampled: every step draws one reservoir (deterministic under the seed).
+    Between two records the collisions are applied as one product matrix.
     """
     if n < 1:
         raise ValueError(f"need at least one collision, got n={n}")
@@ -136,14 +137,41 @@ def run_collisions(
     ]
     probs = np.asarray(config.probabilities)
     if config.schedule == "mixture":
-        steps = itertools.repeat(sum(p * m for p, m in zip(probs, maps)), n)
+        blocks = channel.repeated(sum(p * m for p, m in zip(probs, maps)), n, record_every)
     else:
         # one draw of all n indices gives the same stream as n single draws
         picks = np.random.default_rng(config.seed).choice(len(maps), size=n, p=probs)
-        steps = map(maps.__getitem__, picks.tolist())
+        blocks = _sampled_blocks(np.stack(maps), picks, record_every)
 
-    marks, coords = channel.propagate(channel.to_coords(np.asarray(rho0, dtype=complex)), steps, record_every)
+    marks, coords = channel.propagate(channel.to_coords(np.asarray(rho0, dtype=complex)), blocks, record_every)
     return Trajectory(times=marks, coords=coords, omega=config.frequency)
+
+
+# record intervals whose sampled-schedule products are formed in one batch
+_BATCH = 1024
+
+
+def _products(maps: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Product of the matrices maps[runs[r, 0]], maps[runs[r, 1]], ... for each
+    row r of the (m, k) index array runs, later collisions on the left."""
+    acc = maps[runs[:, 0]]
+    for j in range(1, runs.shape[1]):
+        acc = maps[runs[:, j]] @ acc
+    return acc
+
+
+def _sampled_blocks(maps: np.ndarray, picks: np.ndarray, block: int):
+    """The collisions of the picked maps as blocks for channel.propagate: the
+    product of each run of `block` picks, then of the remaining picks. The
+    products are formed _BATCH runs at a time, so memory does not grow with
+    the number of collisions."""
+    full = len(picks) // block
+    runs = picks[: full * block].reshape(full, block)
+    for start in range(0, full, _BATCH):
+        yield from zip(itertools.repeat(block), _products(maps, runs[start : start + _BATCH]))
+    rest = picks[full * block :]
+    if len(rest):
+        yield len(rest), _products(maps, rest[None])[0]
 
 
 def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated: bool = True):

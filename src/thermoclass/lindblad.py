@@ -8,7 +8,6 @@ scaled by the common mode frequency omega.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,14 +142,26 @@ def real_generator(config: SystemConfig) -> np.ndarray:
     return channel.matrix_of(lambda rho: _apply_generator(config, rho))
 
 
-def _rate_sums(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> tuple:
-    """Per-row total rates sum_i Gamma_i and excitation rates
-    sum_i Gamma_i nbar_i, summed column by column so that every row adds its
-    baths left to right whatever the number of rows."""
-    with np.errstate(divide="ignore", over="ignore"):
+def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:
+    """Per-row ratio sum_i Gamma_i / sum_i Gamma_i nbar_i of total to
+    excitation rate (inf where every bath sits at T = 0), summed column by
+    column so that every row adds its baths left to right whatever the
+    number of rows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # T = 0 and overflowing exp(omega/T) both give nbar = 1/inf = 0
         nbar = 1.0 / np.expm1(omega / temperatures)
-    return sum(rates.T), sum((rates * nbar).T)
+        total, up = sum(rates.T), sum((rates * nbar).T)
+        ratio = total / up
+        hot = np.isinf(up)
+        if hot.any():
+            # sum Gamma nbar overflows: divide omega by the rate-weighted mean
+            # of omega nbar = T x / expm1(x), x = omega / T, which stays <= T
+            # where nbar itself overflows
+            temps = temperatures[hot]
+            x = omega / temps
+            energy = np.where(temps > 0, temps * (x / np.expm1(x)), 0.0)
+            ratio[hot] = omega / sum((rates[hot] / total[hot, None] * energy).T)
+    return ratio
 
 
 def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
@@ -175,13 +186,14 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     active = rates > 0
     if not active.any(axis=1).all():
         raise ValueError("every reservoir set needs a positive rate")
-    total, up = _rate_sums(temps, rates, omega)
-    with np.errstate(divide="ignore"):
-        # the ratio is 1 + total/up; log1p keeps baths so hot that the ratio
-        # rounds to 1 finite, and up = 0 (all baths at T = 0) gives omega/inf = 0
-        t_ss = omega / np.log1p(total / up)
+    with np.errstate(divide="ignore", over="ignore"):
+        # the population ratio is 1 + total/up; log1p keeps baths so hot that
+        # it rounds to 1 finite, and all baths at T = 0 give omega/inf = 0
+        t_ss = omega / np.log1p(_rate_ratios(temps, rates, omega))
     coldest = np.where(active, temps, math.inf).min(axis=1)
     hottest = np.where(active, temps, -math.inf).max(axis=1)
+    # only roundoff at the float maximum overflows: the hottest bath is there too
+    t_ss = np.where(np.isinf(t_ss), hottest, t_ss)
     return np.where(coldest == hottest, coldest, t_ss)
 
 
@@ -191,10 +203,8 @@ def steady_population_ratio(config: SystemConfig) -> float:
     Exact for any number of reservoirs; +inf when every bath sits at T = 0
     (pure ground steady state).
     """
-    total, up = _rate_sums(np.array([config.temperatures]), np.array([config.rates]), config.omega_s)
-    if up[0] == 0.0:
-        return math.inf
-    return float(1.0 + total[0] / up[0])
+    ratio = _rate_ratios(np.array([config.temperatures]), np.array([config.rates]), config.omega_s)
+    return float(1.0 + ratio[0])
 
 
 def steady_state(config: SystemConfig) -> np.ndarray:
@@ -211,28 +221,45 @@ def steady_temperature(config: SystemConfig) -> float:
     return float(steady_temperatures([config.temperatures], [config.rates], config.omega_s)[0])
 
 
+def mean_temperatures(temperatures) -> np.ndarray:
+    """Per-row arithmetic mean of an (n, k) array of finite temperatures,
+    summed column by column. Rows whose sum overflows are averaged as
+    sum_i T_i / k instead, kept between their coldest and hottest bath
+    against roundoff, so every mean stays finite."""
+    temps = np.asarray(temperatures, dtype=float)
+    k = temps.shape[1]
+    with np.errstate(over="ignore"):
+        means = sum(temps.T) / k
+        over = np.isinf(means)
+        if over.any():
+            hot = temps[over]
+            means[over] = np.clip(sum((hot / k).T), hot.min(axis=1), hot.max(axis=1))
+    return means
+
+
 def mean_bath_temperature(config: SystemConfig) -> float:
-    """Arithmetic mean of the reservoir temperatures."""
-    return sum(config.temperatures) / len(config.baths)
+    """Arithmetic mean of the reservoir temperatures (see mean_temperatures)."""
+    return float(mean_temperatures([config.temperatures])[0])
 
 
-def _rk4_step(config: SystemConfig, dt: float) -> np.ndarray:
-    """The exact one-step matrix of classical RK4 for dy/dt = K y: the
-    degree-4 Taylor polynomial of exp(dt K). Applies the stability guard."""
+def _rk4_step(config: SystemConfig, generator: np.ndarray, dt: float) -> np.ndarray:
+    """The exact one-step matrix of classical RK4 for dy/dt = K y, K the
+    config's real generator: the degree-4 Taylor polynomial of exp(dt K).
+    Applies the stability guard."""
     fastest = max(b.rate * (b.occupation + 1.0) for b in config.baths)
     if dt * fastest > RK4_STABILITY_MAX:
         raise GuardViolation(
             f"dt * max(Gamma*(nbar+1)) = {dt * fastest:.3g} exceeds "
             f"{RK4_STABILITY_MAX}; shrink dt below {RK4_STABILITY_MAX / fastest:.3g}"
         )
-    hk = dt * real_generator(config)
+    hk = dt * generator
     return np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk / 4.0) / 3.0) / 2.0)
 
 
-def _slowest_decay_rate(config: SystemConfig) -> float:
-    """Slowest nonzero decay rate of the generator: all but one of its
+def _slowest_decay_rate(generator: np.ndarray) -> float:
+    """Slowest nonzero decay rate of a real generator: all but one of its
     eigenvalues (the steady state's 0) decay."""
-    return float(np.sort(-np.linalg.eigvals(real_generator(config)).real)[1])
+    return float(np.sort(-np.linalg.eigvals(generator).real)[1])
 
 
 def evolve_many(
@@ -248,9 +275,11 @@ def evolve_many(
 
     The generator is linear and time independent, so the RK4 update is
     applied as its exact one-step matrix (see _rk4_step), one per
-    configuration, stacked. States are recorded every `record_every` time
-    units plus the final state, each renormalized to unit trace; the raw
-    trace drift is tracked on the side.
+    configuration, stacked. Nothing reads the states between two records or
+    early-stop checks, so the loop applies that matrix raised to the
+    gcd of the two strides, one power per interval. States are recorded
+    every `record_every` time units plus the final state, each renormalized
+    to unit trace; the raw trace drift is tracked on the side.
 
     When stop_tol is set, integration stops early once every state is within
     about stop_tol (trace distance) of its fixed point. The distance is
@@ -265,25 +294,26 @@ def evolve_many(
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < dt:
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
-    step = np.stack([_rk4_step(config, dt) for config in configs])
+    generators = [real_generator(config) for config in configs]
+    step = np.stack([_rk4_step(config, k, dt) for config, k in zip(configs, generators)])
     qmat.validate_density_matrix(rho0, "initial state")
 
     n_steps = int(round(t_end / dt))
     record_stride = max(1, int(round(record_every / dt)))
     check_stride = max(1, int(round(1.0 / dt)))
     settled = None
+    block = record_stride
     if stop_tol is not None:
+        block = math.gcd(record_stride, check_stride)
         t_check = check_stride * dt
-        bounds = np.array(
-            [-stop_tol * math.expm1(-_slowest_decay_rate(config) * t_check) for config in configs]
-        )
+        bounds = np.array([-stop_tol * math.expm1(-_slowest_decay_rate(k) * t_check) for k in generators])
 
         def settled(dy):
             return bool((channel.trace_distances(dy[..., 0]) < bounds).all())
 
     y0 = np.tile(channel.to_coords(np.asarray(rho0, dtype=complex))[:, None], (len(configs), 1, 1))
     marks, records = channel.propagate(
-        y0, itertools.repeat(step, n_steps), record_stride, check_stride, settled
+        y0, channel.repeated(step, n_steps, block), record_stride, check_stride, settled
     )
     records = records[..., 0]
     traces = records[..., 0] + records[..., 1]

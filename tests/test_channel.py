@@ -1,6 +1,11 @@
-import numpy as np
+import functools
+import math
 
-from thermoclass import channel, qmat
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermoclass import channel, collisions, lindblad, qmat
 
 
 def test_trace_distances_match_eigenvalue_form():
@@ -14,3 +19,109 @@ def test_trace_distances_match_eigenvalue_form():
     np.testing.assert_allclose(
         channel.trace_distances(0.3 * dy[:5, None]), 0.3 * np.array(expected[:5])[:, None], atol=1e-15
     )
+
+
+def step_by_step(y, steps, record_every, check_every=1, settled=None):
+    """Reference for channel.propagate: one matrix per step, recording the
+    start, every record_every-th and the last state, and checking every
+    check_every-th step."""
+    marks, records = [0], [y]
+    y_check = y
+    i = 0
+    for i, step in enumerate(steps, 1):
+        y = step @ y
+        if i % record_every == 0:
+            marks.append(i)
+            records.append(y)
+        if settled is not None and i % check_every == 0:
+            if settled(y - y_check):
+                break
+            y_check = y
+    if marks[-1] != i:
+        marks.append(i)
+        records.append(y)
+    return np.asarray(marks), np.stack(records)
+
+
+def assert_same_run(got, expected):
+    np.testing.assert_array_equal(got[0], expected[0])
+    np.testing.assert_allclose(got[1], expected[1], rtol=0.0, atol=1e-13)
+
+
+_strides = st.integers(1, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3), n=st.integers(1, 150),
+       record_every=_strides, check_every=_strides, tol=st.one_of(st.none(), st.floats(1e-6, 1e-2)))
+def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check_every, tol):
+    # contractions 0.9 Q, Q orthogonal, so that the moves shrink and a drawn
+    # tolerance stops the run at some check
+    rng = np.random.default_rng(seed)
+    step = np.stack([0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(batch)])
+    y0 = rng.normal(size=(batch, 4, 1))
+    settled = None if tol is None else (lambda dy: bool(np.abs(dy).max() < tol))
+    block = record_every if tol is None else math.gcd(record_every, check_every)
+    got = channel.propagate(y0, channel.repeated(step, n, block), record_every, check_every, settled)
+    assert_same_run(got, step_by_step(y0, [step] * n, record_every, check_every, settled))
+
+
+_config = st.lists(st.tuples(st.floats(0.5, 5.0), st.floats(0.01, 0.1)), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), configs=st.lists(_config, min_size=1, max_size=3),
+       steps=st.integers(1, 3000), record_steps=st.integers(1, 700),
+       stop_tol=st.one_of(st.none(), st.floats(1e-9, 1e-2)))
+def test_evolve_many_matches_step_by_step(seed, configs, steps, record_steps, stop_tol):
+    dt = 0.05
+    configs = [lindblad.make_config([t for t, _ in c], [g for _, g in c]) for c in configs]
+    rho0 = qmat.random_density_matrix(np.random.default_rng(seed))
+    trajs = lindblad.evolve_many(configs, rho0, steps * dt, dt, record_steps * dt, stop_tol)
+
+    generators = [lindblad.real_generator(config) for config in configs]
+    step = np.stack([lindblad._rk4_step(config, k, dt) for config, k in zip(configs, generators)])
+    check_every = 20  # one time unit
+    settled = None
+    if stop_tol is not None:
+        bounds = np.array(
+            [-stop_tol * math.expm1(-lindblad._slowest_decay_rate(k) * check_every * dt) for k in generators]
+        )
+
+        def settled(dy):
+            return bool((channel.trace_distances(dy[..., 0]) < bounds).all())
+
+    y0 = np.tile(channel.to_coords(rho0)[:, None], (len(configs), 1, 1))
+    marks, records = step_by_step(y0, [step] * steps, record_steps, check_every, settled)
+    records = records[..., 0]
+    for j, traj in enumerate(trajs):
+        np.testing.assert_array_equal(traj.times, marks * dt)
+        expected = records[:, j] / (records[:, j, 0] + records[:, j, 1])[:, None]
+        np.testing.assert_allclose(traj.coords, expected, rtol=0.0, atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       reservoirs=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.05, 1.0)), min_size=1, max_size=4),
+       schedule=st.sampled_from(collisions.SCHEDULES), n=st.integers(1, 400), record_every=st.integers(1, 500))
+def test_run_collisions_matches_step_by_step(seed, reservoirs, schedule, n, record_every):
+    temps = [t for t, _ in reservoirs]
+    weights = np.array([w for _, w in reservoirs])
+    probs = tuple(weights / weights.sum())
+    config = collisions.CollisionConfig(1.0, 0.05, 1.0, tuple(zip(temps, probs)), schedule=schedule, seed=seed)
+    rho0 = qmat.random_density_matrix(np.random.default_rng(seed))
+    traj = collisions.run_collisions(rho0, config, n, record_every)
+
+    u = qmat.unitary_propagator(collisions.flip_flop_hamiltonian(1.0, 0.05), 1.0)
+    maps = [
+        channel.matrix_of(
+            functools.partial(collisions._collide, rho_ancilla=qmat.qubit_thermal_state(1.0, t), propagator=u)
+        )
+        for t in temps
+    ]
+    if schedule == "mixture":
+        steps = [sum(p * m for p, m in zip(probs, maps))] * n
+    else:
+        picks = np.random.default_rng(seed).choice(len(maps), size=n, p=probs)
+        steps = [maps[k] for k in picks]
+    assert_same_run((traj.times, traj.coords), step_by_step(channel.to_coords(rho0), steps, record_every))

@@ -123,6 +123,7 @@ def test_steady_cold_bath_does_not_overflow(tmp_path, capsys):
     assert 0.001 <= t_ss <= 1.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_very_hot_unequal_baths_stay_finite(tmp_path, capsys):
     # sum Gamma (nbar+1) / sum Gamma nbar rounds to 1 at nbar ~ 1e16
     cfg = tmp_path / "hot.cfg"
@@ -130,6 +131,13 @@ def test_very_hot_unequal_baths_stay_finite(tmp_path, capsys):
     assert run(["steady", "--config", str(cfg)]) == 0
     t_ss = float(capsys.readouterr().out.split("=")[1])
     assert t_ss == pytest.approx(5.5e16, rel=1e-9)
+    # sum Gamma nbar overflows over ten baths at rate 0.2
+    cfg.write_text("temperatures = " + ", ".join(["1e308, 9e307"] * 5) + "\ngammas = " + ", ".join(["0.2"] * 10) + "\n")
+    out = tmp_path / "steady.csv"
+    assert run(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    t_ss = float(capsys.readouterr().out.split("=")[1])
+    assert 9e307 <= t_ss <= 1e308 and t_ss == pytest.approx(9.5e307, rel=1e-12)
+    assert read_csv(out).column("mean_bath_temperature") == [9.5e307]
     cfg.write_text("t_max = 1e308\n")
     out = tmp_path / "instances.csv"
     assert run(["classify-temp", "--config", str(cfg), "--out", str(out)]) == 0
@@ -137,6 +145,21 @@ def test_very_hot_unequal_baths_stay_finite(tmp_path, capsys):
     assert "inf" not in text and "nan" not in text
     table = read_csv(out)
     assert all(0.5 <= t < 1e308 for t in table.column("steady_temperature"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_instance_mean_of_baths_near_float_max_stays_finite(tmp_path, capsys):
+    # t1 + t2 overflows; T_ss equals the mean, so every row is class1
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("t1 = 1e308\nt2 = 1e308\nn = 5\n")
+    out = tmp_path / "instances.csv"
+    assert run(["classify-gamma", "--config", str(cfg), "--out", str(out), "--seed", "3"]) == 0
+    table = read_csv(out)
+    assert table.column("threshold") == [1e308] * 5
+    assert table.column("label") == ["class1"] * 5
+    cfg.write_text("temperatures = 1e308, 1e308\n")
+    assert run(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out).column("mean_bath_temperature") == [1e308]
 
 
 def test_missing_config_file_exits_2(capsys):

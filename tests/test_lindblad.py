@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -327,6 +328,24 @@ def test_steady_temperatures_match_per_row_math(rows, k, omega, shared):
     assert got[-1] == shared
     # one row alone gives the same bits as inside the batch
     assert steady_temperatures(temps[:1], rates[:1], omega)[0] == got[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_steady_temperatures_stay_finite_near_float_max():
+    # sum Gamma nbar overflows, and at the float maximum omega nbar and the
+    # steady temperature can round past it
+    big = sys.float_info.max
+    rows = [[big, 0.5 * big, big], [big, big, 0.0], [big] * 3]
+    for omega in (1e-3, 1.0, 100.0):
+        got = steady_temperatures(rows, np.full((3, 3), 0.2 * omega), omega)
+        assert np.isfinite(got).all()
+        assert all(min(row) <= t <= max(row) for row, t in zip(rows, got))
+        # omega nbar ~ T - omega/2; omega / T is subnormal, so only to ~1e-12
+        assert got[0] == pytest.approx(5.0 / 6.0 * big, rel=1e-9)
+    assert got[-1] == big
+    means = lindblad.mean_temperatures(rows)
+    assert means[0] == pytest.approx(5.0 / 6.0 * big, rel=1e-15)
+    assert means.tolist()[1:] == [2.0 * (big / 3.0), big]
 
 
 def test_steady_temperatures_boundary_label_is_inclusive():
