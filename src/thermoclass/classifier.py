@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,9 @@ class ClassificationResult:
     label: str
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
+class LabeledPoint(NamedTuple):
+    """One labeled instance; a plain tuple, so that large sets build fast."""
+
     features: tuple
     steady_temperature: float
     label: str
@@ -173,10 +175,7 @@ def generate_instances(
     pinned = np.tile(fixed, (n, 1))
     temps, rates = (pinned, features) if space == GAMMA_SPACE else (features, pinned)
     t_ss, thresholds, labels = _label(temps, rates, rule, omega)
-    return [
-        LabeledPoint(features=(a, b), steady_temperature=t, label=label, threshold=threshold)
-        for (a, b), t, threshold, label in zip(features.tolist(), t_ss, thresholds, labels)
-    ]
+    return list(map(LabeledPoint, zip(x1.tolist(), x2.tolist()), t_ss, labels, thresholds))
 
 
 def step(y: float) -> float:

@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__, acceptance, classifier, collisions, lindblad, qmat, svgplot, transmon
 from .errors import ConfigError, GuardViolation
 from .tables import ResultTable, format_value, write_csv
@@ -236,7 +238,7 @@ def _cmd_sweep_gamma(config: RunConfig, args) -> ResultTable:
 
 
 def _instances_table(points, feature_names) -> ResultTable:
-    rows = [(*p.features, p.steady_temperature, p.threshold, p.label) for p in points]
+    rows = [(*features, t_ss, threshold, label) for features, t_ss, label, threshold in points]
     return ResultTable(
         columns=[*feature_names, "steady_temperature", "threshold", "label"], rows=rows
     )
@@ -321,8 +323,7 @@ _COMMANDS = {
 
 def _render_svg(experiment: str, table: ResultTable) -> str | None:
     if experiment == "thermalize":
-        times = table.column("time")
-        series = [table.column(c) for c in table.columns[1:]]
+        times, *series = zip(*table.rows)
         return svgplot.line_plot(times, series, table.columns[1:],
                                  title="relaxation to the steady temperature",
                                  xlabel="time (1/omega)", ylabel="T_S")
@@ -337,12 +338,11 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
                                  title="repeated-interaction thermalization",
                                  xlabel="collision", ylabel="T_S")
     if experiment in ("classify-gamma", "classify-temp"):
-        groups = {}
-        for row in table.rows:
-            groups.setdefault(row[-1], ([], []))
-            groups[row[-1]][0].append(row[0])
-            groups[row[-1]][1].append(row[1])
-        return svgplot.scatter_plot(dict(sorted(groups.items())),
+        xs, ys = (np.array(table.column(name)) for name in table.columns[:2])
+        labels = np.array(table.column("label"))
+        groups = {label: (xs[labels == label], ys[labels == label])
+                  for label in np.unique(labels).tolist()}
+        return svgplot.scatter_plot(groups,
                                     title="labeled instances",
                                     xlabel=table.columns[0], ylabel=table.columns[1])
     return None

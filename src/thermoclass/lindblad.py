@@ -150,7 +150,8 @@ def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> n
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # T = 0 and overflowing exp(omega/T) both give nbar = 1/inf = 0
         nbar = 1.0 / np.expm1(omega / temperatures)
-        total, up = sum(rates.T), sum((rates * nbar).T)
+        # a zero-rate bath adds nothing, even where its nbar overflows to inf
+        total, up = sum(rates.T), sum(np.where(rates > 0, rates * nbar, 0.0).T)
         ratio = total / up
         hot = np.isinf(up)
         if hot.any():
@@ -192,8 +193,10 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
         t_ss = omega / np.log1p(_rate_ratios(temps, rates, omega))
     coldest = np.where(active, temps, math.inf).min(axis=1)
     hottest = np.where(active, temps, -math.inf).max(axis=1)
-    # only roundoff at the float maximum overflows: the hottest bath is there too
-    t_ss = np.where(np.isinf(t_ss), hottest, t_ss)
+    # the steady temperature lies between the active baths; only roundoff
+    # near the float maximum (a subnormal omega / E, or an overflow to inf)
+    # leaves that range, and the clip puts it back
+    t_ss = np.clip(t_ss, coldest, hottest)
     return np.where(coldest == hottest, coldest, t_ss)
 
 
@@ -307,9 +310,15 @@ def evolve_many(
         block = math.gcd(record_stride, check_stride)
         t_check = check_stride * dt
         bounds = np.array([-stop_tol * math.expm1(-_slowest_decay_rate(k) * t_check) for k in generators])
+        # a trace distance is at least max_i |dy_i| / 2: most checks fail on
+        # that cheap bound (with a margin for roundoff) before the exact one
+        too_far = 2.0 * (1.0 + 1e-12) * bounds
 
         def settled(dy):
-            return bool((channel.trace_distances(dy[..., 0]) < bounds).all())
+            dy = dy[..., 0]
+            if (np.abs(dy).max(axis=-1) > too_far).any():
+                return False
+            return bool((channel.trace_distances(dy) < bounds).all())
 
     y0 = np.tile(channel.to_coords(np.asarray(rho0, dtype=complex))[:, None], (len(configs), 1, 1))
     marks, records = channel.propagate(

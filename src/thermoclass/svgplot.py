@@ -1,25 +1,33 @@
 """Minimal static SVG rendering: axes, ticks, polylines and scatter markers.
 Figures are derived artifacts here; the CSV tables stay the source of truth.
+
+Coordinates are mapped to pixels as numpy arrays and written through one
+printf-style template per marker or polyline point, so a plot costs a few
+array operations per series rather than Python calls per point.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 56
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _finite(values):
-    return [v for v in values if isinstance(v, (int, float)) and math.isfinite(v)]
+def _finite(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    return values[np.isfinite(values)]
 
 
-def _axis_range(values):
-    finite = _finite(values)
+def _axis_range(*arrays):
+    """Padded (lo, hi) over the finite values of all arrays, taken one array
+    at a time so that no concatenation is built."""
+    finite = [a for a in map(_finite, arrays) if a.size]
     if not finite:
         return 0.0, 1.0
-    lo, hi = min(finite), max(finite)
+    lo = min(float(a.min()) for a in finite)
+    hi = max(float(a.max()) for a in finite)
     if lo == hi:
         pad = 1.0 if lo == 0 else abs(lo) * 0.1
         return lo - pad, hi + pad
@@ -28,15 +36,23 @@ def _axis_range(values):
 
 
 class _Frame:
-    def __init__(self, xs, ys):
-        self.x0, self.x1 = _axis_range(xs)
-        self.y0, self.y1 = _axis_range(ys)
+    """Data-to-pixel mapping; px and py take numbers or numpy arrays and
+    evaluate the same operations in the same order on either."""
+
+    def __init__(self, x_range, y_range):
+        self.x0, self.x1 = x_range
+        self.y0, self.y1 = y_range
 
     def px(self, x):
         return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y):
         return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - MARGIN_T - MARGIN_B)
+
+    def points(self, xs, ys) -> list:
+        """(px, py) pixel pairs of the points of equal-length arrays, as
+        Python floats."""
+        return list(zip(self.px(xs).tolist(), self.py(ys).tolist()))
 
 
 def _ticks(lo, hi, count=5):
@@ -67,40 +83,39 @@ def _chrome(frame, title, xlabel, ylabel):
     return parts
 
 
+def _legend(i, label, color) -> str:
+    return (f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 * (i + 1)}" '
+            f'text-anchor="end" fill="{color}">{label}</text>')
+
+
 def line_plot(xs, series, labels, title="", xlabel="", ylabel="") -> str:
-    """Polyline plot of one or more y-series against a shared x axis."""
-    all_y = [y for ys in series for y in ys]
-    frame = _Frame(list(xs), all_y)
+    """Polyline plot of one or more y-series, each with one y per x, against
+    a shared x axis; points whose y is not finite are left out."""
+    xs = np.asarray(xs, dtype=float)
+    series = [np.asarray(ys, dtype=float) for ys in series]
+    frame = _Frame(_axis_range(xs), _axis_range(*series))
     parts = _chrome(frame, title, xlabel, ylabel)
     for i, (ys, label) in enumerate(zip(series, labels)):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(
-            f"{frame.px(x):.1f},{frame.py(y):.1f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(y)
-        )
+        keep = np.isfinite(ys)
+        points = " ".join(map("%.1f,%.1f".__mod__, frame.points(xs[keep], ys[keep])))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 * (i + 1)}" '
-            f'text-anchor="end" fill="{color}">{label}</text>'
-        )
+        parts.append(_legend(i, label, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def scatter_plot(groups, title="", xlabel="", ylabel="") -> str:
     """Scatter plot of {label: (xs, ys)} groups, one color per label."""
-    all_x = [x for xs, _ in groups.values() for x in xs]
-    all_y = [y for _, ys in groups.values() for y in ys]
-    frame = _Frame(all_x, all_y)
+    groups = {label: (np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+              for label, (xs, ys) in groups.items()}
+    frame = _Frame(_axis_range(*(xs for xs, _ in groups.values())),
+                   _axis_range(*(ys for _, ys in groups.values())))
     parts = _chrome(frame, title, xlabel, ylabel)
     for i, (label, (xs, ys)) in enumerate(groups.items()):
         color = PALETTE[i % len(PALETTE)]
-        for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{frame.px(x):.1f}" cy="{frame.py(y):.1f}" r="4" fill="{color}"/>')
-        parts.append(
-            f'<text x="{WIDTH - MARGIN_R - 6}" y="{MARGIN_T + 16 * (i + 1)}" '
-            f'text-anchor="end" fill="{color}">{label}</text>'
-        )
+        marker = f'<circle cx="%.1f" cy="%.1f" r="4" fill="{color}"/>'
+        parts.extend(map(marker.__mod__, frame.points(xs, ys)))
+        parts.append(_legend(i, label, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

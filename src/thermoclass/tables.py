@@ -1,10 +1,17 @@
 """Rectangular result tables and their CSV form: '#'-prefixed metadata lines,
 one header line, then rows. Numbers are written with 9 significant digits so
-equal inputs produce byte-identical files."""
+equal inputs produce byte-identical files.
+
+format_value is the one formatting rule for a cell. render_csv writes a whole
+table through one printf-style row template, so that formatting runs in C
+rather than as one Python call per cell; the template spells out, per
+column, what format_value does for that column's type.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 @dataclass
@@ -15,13 +22,12 @@ class ResultTable:
 
     def __post_init__(self):
         width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+        if set(map(len, self.rows)) - {width}:
+            i, row = next((i, row) for i, row in enumerate(self.rows) if len(row) != width)
+            raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
 
     def column(self, name: str) -> list:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
+        return list(map(itemgetter(self.columns.index(name)), self.rows))
 
 
 def format_value(value) -> str:
@@ -34,11 +40,29 @@ def format_value(value) -> str:
     return format(float(value), ".9g")
 
 
+# the printf spec that writes a cell of exactly this type as format_value does
+_SPECS = {float: "%.9g", int: "%d", str: "%s"}
+
+
 def render_csv(table: ResultTable) -> str:
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(format_value(v) for v in row))
+    rows = list(map(tuple, table.rows))
+    specs, formatted = [], {}
+    for j in range(len(table.columns)):
+        kinds = set(map(type, map(itemgetter(j), rows)))
+        spec = _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None:
+            # bools, numpy scalars, mixed types: formatted here, written as is
+            # (str.__str__, because a str subclass's own __str__ may differ:
+            # numpy's drops trailing NULs)
+            spec = "%s"
+            formatted[j] = list(map(str.__str__, map(format_value, map(itemgetter(j), rows))))
+        specs.append(spec)
+    if formatted:
+        rows = zip(*(formatted[j] if j in formatted else map(itemgetter(j), rows)
+                     for j in range(len(specs))))
+    lines.extend(map(",".join(specs).__mod__, rows))
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,13 @@ def test_trace_distances_match_eigenvalue_form():
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(dy=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+def test_trace_distance_is_at_least_half_the_largest_coordinate(dy):
+    # the cheap reject in front of evolve's exact early-stop test relies on it
+    assert channel.trace_distances(np.array(dy)) * 2.0 * (1.0 + 1e-12) >= max(map(abs, dy))
+
+
 def step_by_step(y, steps, record_every, check_every=1, settled=None):
     """Reference for channel.propagate: one matrix per step, recording the
     start, every record_every-th and the last state, and checking every

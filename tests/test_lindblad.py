@@ -149,6 +149,37 @@ def test_evolve_many_matches_one_at_a_time():
         assert traj.max_trace_drift == alone.max_trace_drift
 
 
+def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
+    """Reference for evolve's early stop: the exact trace distance at every
+    check, with no cheap reject in front of it. Returns the step marks and
+    the raw (unnormalized) records."""
+    generator = lindblad.real_generator(config)
+    step = lindblad._rk4_step(config, generator, dt)[None]
+    record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
+    bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
+
+    def settled(dy):
+        return bool((channel.trace_distances(dy[..., 0]) < bound).all())
+
+    y0 = channel.to_coords(rho0)[None, :, None]
+    blocks = channel.repeated(step, int(round(t_end / dt)), math.gcd(record_stride, check_stride))
+    return channel.propagate(y0, blocks, record_stride, check_stride, settled)
+
+
+def test_early_stop_reject_keeps_criterion_1_runs_bitwise():
+    # criterion 1's 100 configurations and initial states
+    rng = np.random.default_rng(20240101)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        config = make_config(rng.uniform(0.5, 5.0, n), rng.uniform(0.01, 0.1, n))
+        rho0 = qmat.random_density_matrix(rng)
+        traj = evolve(config, rho0, t_end=4000.0, dt=0.05, record_every=10.0)
+        marks, records = _evolve_exact_stop(config, rho0, 4000.0, 0.05, 10.0, 1e-9)
+        last = records[-1, 0, :, 0]
+        assert traj.times[-1] == marks[-1] * 0.05 < 4000.0
+        np.testing.assert_array_equal(traj.coords[-1], last * (1.0 / (last[0] + last[1])))
+
+
 def test_evolve_fixed_point_stays_constant():
     config = make_config((2.0,), (0.1,))
     gibbs = qmat.qubit_thermal_state(1.0, 2.0)
@@ -328,6 +359,53 @@ def test_steady_temperatures_match_per_row_math(rows, k, omega, shared):
     assert got[-1] == shared
     # one row alone gives the same bits as inside the batch
     assert steady_temperatures(temps[:1], rates[:1], omega)[0] == got[0]
+
+
+_big = sys.float_info.max
+# temperatures that stress the bracketing: ordinary, within a few ulps of
+# the float maximum, and pairs of baths nearly equal
+_edge_temperature = st.one_of(
+    st.floats(1e-3, 100.0),
+    st.integers(0, 2**20).map(lambda k: _big - k * 2.0**971),
+    st.floats(1e300, _big),
+)
+
+
+@st.composite
+def _bracketing_row(draw):
+    k = draw(st.integers(1, 4))
+    temps = draw(st.lists(_edge_temperature, min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        # a nearly equal second bath, a few ulps or a relative 1e-15 away
+        base = temps[0]
+        temps[1] = draw(st.sampled_from([
+            np.nextafter(base, 0.0), np.nextafter(np.nextafter(base, 0.0), 0.0), base * (1 - 1e-15),
+        ]))
+    rates = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 0.2)), min_size=k, max_size=k))
+    if not any(rates):
+        rates[0] = 0.1
+    return temps, rates
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_bracketing_row(), min_size=1, max_size=6), omega=st.floats(1e-3, 100.0))
+def test_steady_temperatures_bracketed_exactly(rows, omega):
+    width = max(len(t) for t, _ in rows)
+    temps = np.array([t + [1.0] * (width - len(t)) for t, _ in rows])
+    # rates drawn up to 0.2, scaled so that they respect the weak-coupling bound
+    rates = np.array([g + [0.0] * (width - len(g)) for _, g in rows]) * omega
+    got = steady_temperatures(temps, rates, omega)
+    for row_t, row_g, value in zip(temps.tolist(), rates.tolist(), got.tolist()):
+        active = [t for t, g in zip(row_t, row_g) if g > 0]
+        assert min(active) <= value <= max(active)
+
+
+def test_steady_temperature_of_nearly_equal_baths_at_float_max():
+    # omega / E is subnormal here; the unclipped form gave 6e-14 (relative)
+    # below the colder bath
+    temps = [[_big, np.nextafter(_big, 0.0)]]
+    t_ss = steady_temperatures(temps, [[0.00052, 0.00052]], 0.0026)[0]
+    assert temps[0][1] <= t_ss <= temps[0][0]
 
 
 @pytest.mark.filterwarnings("error")
