@@ -16,19 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# d(rho)/d(coordinate) for each coordinate, in order
-BASIS = (
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
-)
+# d(rho)/d(coordinate) for each coordinate, in order, stacked
+BASIS = np.array([
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 1.0j], [-1.0j, 0.0]],
+], dtype=complex)
 
 
 def to_coords(rho: np.ndarray) -> np.ndarray:
-    """(p_e, p_g, Re c, Im c) of a Hermitian 2x2 matrix."""
-    return np.array(
-        [rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag], dtype=float
+    """(p_e, p_g, Re c, Im c) of a Hermitian 2x2 matrix, or of each matrix of
+    a (..., 2, 2) stack on a new last axis."""
+    return np.stack(
+        [rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 0, 1].real, rho[..., 0, 1].imag], axis=-1
     )
 
 
@@ -63,31 +64,46 @@ def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) 
 
     y and each matrix may carry leading batch axes (y of shape (b, 4, 1) with
     matrices of shape (b, 4, 4) steps b states at once). Records the start,
-    every record_every-th state and the last one. With `settled`, every
-    check_every-th step calls settled(y - y_then), y_then being the state
-    check_every steps earlier, and stops once it returns True. Records and
-    checks are made only where a block ends, so every multiple of
-    record_every and check_every must be a block end (see repeated).
-    Returns the step counts of the records and the records stacked on a new
-    first axis.
+    every record_every-th state and the last one. With `settled`, y has one
+    batch axis, and every check_every-th step calls settled(y - y_then),
+    y_then being the states check_every steps earlier; it returns a mask
+    over the batch axis. Each row it marks stops there: later blocks leave
+    it out, so later records repeat its last state, and the loop ends once
+    every row has stopped. Records and checks are made only where a block
+    ends, so every multiple of record_every and check_every must be a block
+    end (see repeated).
+    Returns the step counts of the records, the records stacked on a new
+    first axis, and the step count at which each row stopped (with
+    `settled`) or the last step count (without).
     """
     marks, records = [0], [y]
     y_check = y
+    live = None  # the rows still stepping once some have stopped
+    stopped = None if settled is None else np.full(len(y), -1)
     i = 0
     for count, block in blocks:
-        y = block @ y
+        if live is None:
+            y = block @ y
+        else:
+            y = y.copy()
+            y[live] = block[live] @ y[live]
         i += count
         if i % record_every == 0:
             marks.append(i)
             records.append(y)
         if settled is not None and i % check_every == 0:
-            if settled(y - y_check):
-                break
+            now = settled(y - y_check) & (stopped < 0)
+            if now.any():
+                stopped[now] = i
+                live = np.flatnonzero(stopped < 0)
+                if not len(live):
+                    break
             y_check = y
     if marks[-1] != i:
         marks.append(i)
         records.append(y)
-    return np.asarray(marks), np.stack(records)
+    ends = i if settled is None else np.where(stopped < 0, i, stopped)
+    return np.asarray(marks), np.stack(records), ends
 
 
 def repeated(step: np.ndarray, n: int, block: int):

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-guard violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -368,7 +369,10 @@ def _run_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    main call; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="thermoclass",
         description="Steady-state thermal classifier simulations: analytic, master-equation and collision-model paths.",

@@ -143,7 +143,7 @@ def run_collisions(
         picks = np.random.default_rng(config.seed).choice(len(maps), size=n, p=probs)
         blocks = _sampled_blocks(np.stack(maps), picks, record_every)
 
-    marks, coords = channel.propagate(channel.to_coords(np.asarray(rho0, dtype=complex)), blocks, record_every)
+    marks, coords, _ = channel.propagate(channel.to_coords(np.asarray(rho0, dtype=complex)), blocks, record_every)
     return Trajectory(times=marks, coords=coords, omega=config.frequency)
 
 

@@ -29,7 +29,8 @@ def _axis_range(*arrays):
     lo = min(float(a.min()) for a in finite)
     hi = max(float(a.max()) for a in finite)
     if lo == hi:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
+        # 1 where a tenth of |lo| is 0, as for lo = 0 or a subnormal lo
+        pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# |detuning| >= DISPERSIVE_MIN_RATIO * g counts as dispersive.
-DISPERSIVE_MIN_RATIO = 5.0
-
 
 @dataclass(frozen=True)
 class DispersivePair:
@@ -29,13 +26,6 @@ class DispersivePair:
             raise ValueError(f"couplings must be >= 0, got ({self.g1}, {self.g2})")
         if self.delta1 == 0 or self.delta2 == 0:
             raise ValueError("zero detuning: the dispersive expansion does not apply")
-
-    @property
-    def is_dispersive(self) -> bool:
-        return (
-            abs(self.delta1) >= DISPERSIVE_MIN_RATIO * self.g1
-            and abs(self.delta2) >= DISPERSIVE_MIN_RATIO * self.g2
-        )
 
 
 def effective_coupling(pair: DispersivePair) -> float:

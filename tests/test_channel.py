@@ -24,14 +24,13 @@ def test_trace_distances_match_eigenvalue_form():
 @settings(max_examples=200, deadline=None)
 @given(dy=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
 def test_trace_distance_is_at_least_half_the_largest_coordinate(dy):
-    # the cheap reject in front of evolve's exact early-stop test relies on it
     assert channel.trace_distances(np.array(dy)) * 2.0 * (1.0 + 1e-12) >= max(map(abs, dy))
 
 
 def step_by_step(y, steps, record_every, check_every=1, settled=None):
-    """Reference for channel.propagate: one matrix per step, recording the
-    start, every record_every-th and the last state, and checking every
-    check_every-th step."""
+    """Reference for channel.propagate on one state: one matrix per step,
+    recording the start, every record_every-th and the last state, and
+    checking every check_every-th step."""
     marks, records = [0], [y]
     y_check = y
     i = 0
@@ -55,6 +54,16 @@ def assert_same_run(got, expected):
     np.testing.assert_allclose(got[1], expected[1], rtol=0.0, atol=1e-13)
 
 
+def assert_row_matches_alone(marks, records, end, alone):
+    """One row of a batched propagate run with per-row stopping against that
+    row stepped alone: the same records up to its stop, and its stopped state
+    repeated by every later record."""
+    kept = marks < end
+    assert_same_run((np.append(marks[kept], end), np.append(records[kept], records[-1:], axis=0)), alone)
+    for later in records[~kept]:
+        np.testing.assert_array_equal(later, records[-1])
+
+
 _strides = st.integers(1, 40)
 
 
@@ -63,14 +72,19 @@ _strides = st.integers(1, 40)
        record_every=_strides, check_every=_strides, tol=st.one_of(st.none(), st.floats(1e-6, 1e-2)))
 def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check_every, tol):
     # contractions 0.9 Q, Q orthogonal, so that the moves shrink and a drawn
-    # tolerance stops the run at some check
+    # tolerance stops each row at some check of its own
     rng = np.random.default_rng(seed)
     step = np.stack([0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(batch)])
-    y0 = rng.normal(size=(batch, 4, 1))
-    settled = None if tol is None else (lambda dy: bool(np.abs(dy).max() < tol))
+    y0 = rng.normal(size=(batch, 4, 1)) * rng.uniform(0.01, 100.0, size=(batch, 1, 1))
+    settled = None if tol is None else (lambda dy: np.abs(dy).max(axis=(1, 2)) < tol)
+    row_settled = None if tol is None else (lambda dy: bool(np.abs(dy).max() < tol))
     block = record_every if tol is None else math.gcd(record_every, check_every)
-    got = channel.propagate(y0, channel.repeated(step, n, block), record_every, check_every, settled)
-    assert_same_run(got, step_by_step(y0, [step] * n, record_every, check_every, settled))
+    marks, records, ends = channel.propagate(
+        y0, channel.repeated(step, n, block), record_every, check_every, settled
+    )
+    for j in range(batch):
+        alone = step_by_step(y0[j], [step[j]] * n, record_every, check_every, row_settled)
+        assert_row_matches_alone(marks, records[:, j], ends if tol is None else ends[j], alone)
 
 
 _config = st.lists(st.tuples(st.floats(0.5, 5.0), st.floats(0.01, 0.1)), min_size=1, max_size=3)
@@ -78,32 +92,36 @@ _config = st.lists(st.tuples(st.floats(0.5, 5.0), st.floats(0.01, 0.1)), min_siz
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), configs=st.lists(_config, min_size=1, max_size=3),
-       steps=st.integers(1, 3000), record_steps=st.integers(1, 700),
+       shared=st.booleans(), steps=st.integers(1, 3000), record_steps=st.integers(1, 700),
        stop_tol=st.one_of(st.none(), st.floats(1e-9, 1e-2)))
-def test_evolve_many_matches_step_by_step(seed, configs, steps, record_steps, stop_tol):
+def test_evolve_many_matches_step_by_step(seed, configs, shared, steps, record_steps, stop_tol):
     dt = 0.05
     configs = [lindblad.make_config([t for t, _ in c], [g for _, g in c]) for c in configs]
-    rho0 = qmat.random_density_matrix(np.random.default_rng(seed))
-    trajs = lindblad.evolve_many(configs, rho0, steps * dt, dt, record_steps * dt, stop_tol)
+    rng = np.random.default_rng(seed)
+    rho0s = [qmat.random_density_matrix(rng) for _ in configs]
+    if shared:
+        rho0s = [rho0s[0]] * len(configs)
+    trajs = lindblad.evolve_many(
+        configs, rho0s[0] if shared else rho0s, steps * dt, dt, record_steps * dt, stop_tol
+    )
 
-    generators = [lindblad.real_generator(config) for config in configs]
-    step = np.stack([lindblad._rk4_step(config, k, dt) for config, k in zip(configs, generators)])
     check_every = 20  # one time unit
-    settled = None
-    if stop_tol is not None:
-        bounds = np.array(
-            [-stop_tol * math.expm1(-lindblad._slowest_decay_rate(k) * check_every * dt) for k in generators]
-        )
+    for config, rho0, traj in zip(configs, rho0s, trajs):
+        # each configuration stepped alone, one RK4 matrix per step
+        generator = lindblad.real_generator(config)
+        step = lindblad._rk4_step(config, generator, dt)
+        settled = None
+        if stop_tol is not None:
+            bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_every * dt)
 
-        def settled(dy):
-            return bool((channel.trace_distances(dy[..., 0]) < bounds).all())
+            def settled(dy):
+                return bool(channel.trace_distances(dy[:, 0]) < bound)
 
-    y0 = np.tile(channel.to_coords(rho0)[:, None], (len(configs), 1, 1))
-    marks, records = step_by_step(y0, [step] * steps, record_steps, check_every, settled)
-    records = records[..., 0]
-    for j, traj in enumerate(trajs):
+        marks, records = step_by_step(channel.to_coords(rho0)[:, None], [step] * steps, record_steps,
+                                      check_every, settled)
+        records = records[..., 0]
         np.testing.assert_array_equal(traj.times, marks * dt)
-        expected = records[:, j] / (records[:, j, 0] + records[:, j, 1])[:, None]
+        expected = records / (records[:, 0] + records[:, 1])[:, None]
         np.testing.assert_allclose(traj.coords, expected, rtol=0.0, atol=1e-13)
 
 

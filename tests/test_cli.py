@@ -1,8 +1,8 @@
 import pytest
+from csvfile import read_csv
 
 from thermoclass import acceptance, cli
 from thermoclass.errors import ConfigError
-from thermoclass.tables import read_csv
 
 
 def run(argv):
@@ -292,3 +292,38 @@ def test_verify_exit_code_on_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli.acceptance, "run_all", lambda only=None: fake)
     assert run(["verify"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def _outcome(argv, tmp_path, capsys):
+    """Exit code, stdout, stderr and output bytes of one main call."""
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    try:
+        code = run([arg.replace("OUT", str(out)) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    printed = capsys.readouterr()
+    return code, printed.out, printed.err, out.read_bytes() if out.exists() else None
+
+
+def test_shared_parser_matches_fresh_parsers(tmp_path, capsys):
+    # main reuses one parser; back-to-back calls of every kind must behave as
+    # calls on a freshly built parser
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("omegga = 1\n")
+    strong = tmp_path / "strong.cfg"
+    strong.write_text("gamma = 0.5\n")
+    calls = [
+        ["--help"], ["steady", "--out", "OUT"], ["thermalize", "--help"],
+        ["sweep-gamma", "--out", "OUT", "--jobs", "3"], ["steady", "--config", str(bad)],
+        ["classify-temp", "--seed", "7", "--out", "OUT"], ["nonsense"], ["collide", "--seed", "x"],
+        ["classify-gamma", "--out", "OUT"], ["transmon-budget", "--seed", "1"], ["steady", "--svg"],
+        ["--version"], ["verify", "--only", "9"], ["classify-temp", "--config", str(strong), "--out", "OUT"],
+        ["steady"],
+    ]
+    shared = [_outcome(argv, tmp_path, capsys) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, got in zip(calls, shared):
+        cli.build_parser.cache_clear()
+        assert got == _outcome(argv, tmp_path, capsys), argv
+    assert {code for code, *_ in shared} == {0, 2, 3}

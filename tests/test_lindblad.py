@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoclass import channel, qmat
@@ -32,6 +32,7 @@ from thermoclass.lindblad import (
 T_SS_EQUAL = 2.013636202
 T_SS_HOT_WEIGHTED = 2.343694237
 T_SS_COLD_WEIGHTED = 1.681284487
+EPS = np.finfo(float).eps
 
 
 def random_config(rng, n_max=4):
@@ -116,6 +117,24 @@ def test_real_generator_matches_rhs():
         )
 
 
+_generator_temperature = st.one_of(
+    st.sampled_from((0.0, 5e-324, 1e17, 1.7976931348623157e308)), st.floats(0.0, 10.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(baths=st.lists(st.tuples(_generator_temperature, st.floats(1e-6, 0.2)), min_size=1, max_size=5),
+       omega=st.sampled_from((1.0, 0.3, 7.0)))
+def test_real_generator_matches_per_basis_build(baths, omega):
+    # the stacked build against the generator applied to one basis matrix at
+    # a time, bit for bit, signed zeros and the NaNs of overflowing
+    # occupations included
+    config = make_config([t for t, _ in baths], [g * omega for _, g in baths], omega)
+    with np.errstate(invalid="ignore"):
+        per_basis = channel.matrix_of(lambda rho: lindblad._apply_generator(config, rho))
+        assert lindblad.real_generator(config).tobytes() == per_basis.tobytes()
+
+
 def test_evolve_reference_asymptotes():
     for rates, expected in (((0.1, 0.1), T_SS_EQUAL), ((0.1, 0.05), T_SS_HOT_WEIGHTED)):
         config = make_config((3.0, 1.0), rates)
@@ -149,31 +168,118 @@ def test_evolve_many_matches_one_at_a_time():
         assert traj.max_trace_drift == alone.max_trace_drift
 
 
+_bath = st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 5.0)), st.floats(0.01, 0.2))
+# a random start; the closed-form steady state, which settles at the first
+# check; rates scaled down to 1e-9 of these, which never settle before t_end
+_row = st.tuples(st.lists(_bath, min_size=1, max_size=3), st.sampled_from(("random", "fixed point", "slow")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.lists(_row, min_size=1, max_size=5),
+       steps=st.integers(20, 4000), record_steps=st.integers(1, 400),
+       stop_tol=st.one_of(st.none(), st.floats(1e-9, 1e-3)))
+@example(seed=1, rows=[([(3.0, 0.1)], "fixed point"), ([(0.0, 0.02), (4.0, 0.2)], "fixed point")],
+         steps=400, record_steps=7, stop_tol=1e-9)
+@example(seed=2, rows=[([(3.0, 0.2)], "random"), ([(2.0, 0.05)], "random"), ([(1.0, 0.1)], "slow"),
+                       ([(0.5, 0.2), (5.0, 0.2)], "random"), ([(4.0, 0.01)], "fixed point")],
+         steps=4000, record_steps=30, stop_tol=1e-4)
+def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps, stop_tol):
+    dt = 0.05
+    rng = np.random.default_rng(seed)
+    configs, rho0s = [], []
+    for baths, kind in rows:
+        scale = 1e-9 if kind == "slow" else 1.0
+        configs.append(make_config([t for t, _ in baths], [g * scale for _, g in baths]))
+        rho0s.append(steady_state(configs[-1]) if kind == "fixed point" else qmat.random_density_matrix(rng))
+    together = evolve_many(configs, np.array(rho0s), steps * dt, dt, record_steps * dt, stop_tol)
+    for (_, kind), config, rho0, traj in zip(rows, configs, rho0s, together):
+        alone = evolve(config, rho0, steps * dt, dt, record_steps * dt, stop_tol)
+        np.testing.assert_array_equal(traj.times, alone.times)
+        np.testing.assert_array_equal(traj.coords, alone.coords)
+        assert traj.max_trace_drift == alone.max_trace_drift
+        if stop_tol is not None and kind != "random":
+            assert traj.times[-1] == (1.0 if kind == "fixed point" else steps * dt)
+
+
+def test_evolve_many_rejects_mismatched_initial_states():
+    configs = [make_config((3.0,), (0.1,))] * 3
+    with pytest.raises(ValueError, match="initial state"):
+        evolve_many(configs, np.array([qmat.ground_state()] * 2), t_end=10.0, dt=0.05)
+    bad = np.array([qmat.ground_state(), 2.0 * qmat.ground_state(), qmat.ground_state()])
+    with pytest.raises(ValueError, match="trace"):
+        evolve_many(configs, bad, t_end=10.0, dt=0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       baths=st.lists(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), st.floats(1e-3, 0.2)),
+                               min_size=1, max_size=4), min_size=1, max_size=4),
+       dt_share=st.floats(0.01, 1.0), steps=st.integers(1, 3000), record_steps=st.integers(1, 200),
+       stop_tol=st.sampled_from((None, 1e-9)))
+def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, record_steps, stop_tol):
+    # the generator is block diagonal with eigenvalues 0, -G and -G/2 +- i omega,
+    # G = sum_i Gamma_i (2 nbar_i + 1): p_e relaxes to p_ss = sum_i Gamma_i nbar_i / G
+    # at rate G, and the coherence decays at G/2 while it rotates at omega
+    configs = [make_config([t for t, _ in b], [g for _, g in b]) for b in baths]
+    # any dt the stability guard accepts, kept to omega dt <= 0.5: the guard
+    # bounds only the decay rates, and RK4 rotates the coherence unstably
+    # once omega dt exceeds 2 sqrt(2)
+    fastest = max(bath.rate * (bath.occupation + 1.0) for config in configs for bath in config.baths)
+    dt = dt_share * min(lindblad.RK4_STABILITY_MAX / fastest, 0.5)
+    rng = np.random.default_rng(seed)
+    rho0s = np.array([qmat.random_density_matrix(rng) for _ in configs])
+    trajs = evolve_many(configs, rho0s, steps * dt, dt, record_steps * dt, stop_tol)
+    for config, rho0, traj in zip(configs, rho0s, trajs):
+        nbar = np.array([bath.occupation for bath in config.baths])
+        total = float(np.sum(np.array(config.rates) * (2.0 * nbar + 1.0)))
+        p_ss = float(np.sum(np.array(config.rates) * nbar)) / total
+        t = traj.times
+        p_e = p_ss + (rho0[0, 0].real - p_ss) * np.exp(-total * t)
+        c = rho0[0, 1] * np.exp(complex(-total / 2.0, -1.0) * t)
+        # RK4's one-step error on an eigenvalue lam is at most |lam dt|^5 / 120
+        # e^|lam dt| of the mode's amplitude, and the modes do not grow, so
+        # the errors add up over the t / dt steps (t G^5 dt^4 / 120 for p_e);
+        # roundoff adds up to a few ulps per step
+        for lam, amplitude, got, exact in (
+            (total, abs(rho0[0, 0].real - p_ss), traj.coords[:, 0], p_e),
+            (abs(complex(-total / 2.0, 1.0)), abs(rho0[0, 1]), traj.coords[:, 2] + 1j * traj.coords[:, 3], c),
+        ):
+            z = lam * dt
+            bound = t / dt * z**5 / 120.0 * math.exp(z) * amplitude + (t / dt + 1.0) * 4.0 * EPS
+            assert (np.abs(got - exact) <= bound).all()
+
+
 def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
-    """Reference for evolve's early stop: the exact trace distance at every
-    check, with no cheap reject in front of it. Returns the step marks and
-    the raw (unnormalized) records."""
+    """Reference for evolve's early stop: one configuration alone through
+    channel.propagate, with the per-row exact trace-distance test written
+    out. Returns the step marks and the raw (unnormalized) records."""
     generator = lindblad.real_generator(config)
     step = lindblad._rk4_step(config, generator, dt)[None]
     record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
     bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
 
     def settled(dy):
-        return bool((channel.trace_distances(dy[..., 0]) < bound).all())
+        return channel.trace_distances(dy[..., 0]) < bound
 
     y0 = channel.to_coords(rho0)[None, :, None]
     blocks = channel.repeated(step, int(round(t_end / dt)), math.gcd(record_stride, check_stride))
-    return channel.propagate(y0, blocks, record_stride, check_stride, settled)
+    marks, records, ends = channel.propagate(y0, blocks, record_stride, check_stride, settled)
+    assert ends[0] == marks[-1]
+    return marks, records
 
 
 def test_early_stop_reject_keeps_criterion_1_runs_bitwise():
-    # criterion 1's 100 configurations and initial states
+    # criterion 1's 100 configurations and initial states, run as it runs
+    # them: in one batch, each row stopping on its own
     rng = np.random.default_rng(20240101)
+    configs, rho0s = [], []
     for _ in range(100):
         n = int(rng.integers(1, 5))
-        config = make_config(rng.uniform(0.5, 5.0, n), rng.uniform(0.01, 0.1, n))
-        rho0 = qmat.random_density_matrix(rng)
-        traj = evolve(config, rho0, t_end=4000.0, dt=0.05, record_every=10.0)
+        configs.append(make_config(rng.uniform(0.5, 5.0, n), rng.uniform(0.01, 0.1, n)))
+        rho0s.append(qmat.random_density_matrix(rng))
+    trajs = evolve_many(configs, rho0s, t_end=4000.0, dt=0.05, record_every=10.0, stop_tol=1e-9)
+    assert len({traj.times[-1] for traj in trajs}) > 1
+    for config, rho0, traj in zip(configs, rho0s, trajs):
         marks, records = _evolve_exact_stop(config, rho0, 4000.0, 0.05, 10.0, 1e-9)
         last = records[-1, 0, :, 0]
         assert traj.times[-1] == marks[-1] * 0.05 < 4000.0

@@ -21,7 +21,7 @@ def _axis_range(values):
         return 0.0, 1.0
     lo, hi = min(finite), max(finite)
     if lo == hi:
-        pad = 1.0 if lo == 0 else abs(lo) * 0.1
+        pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05
     return lo - pad, hi + pad

