@@ -24,7 +24,6 @@ from .collisions import CollisionConfig, run_collisions, single_collision
 from .errors import ConfigError, GuardViolation
 from .lindblad import (
     SystemConfig,
-    ThermalBath,
     evolve,
     evolve_many,
     lindblad_rhs,
@@ -51,7 +50,6 @@ __all__ = [
     "NotSeparable",
     "Perceptron",
     "SystemConfig",
-    "ThermalBath",
     "TimingBudget",
     "Trajectory",
     "boltzmann_temperature",

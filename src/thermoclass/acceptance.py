@@ -220,8 +220,7 @@ def check_core_properties(seed: int = 7) -> CriterionResult:
         rho_ss = qmat.validate_density_matrix(lindblad.steady_state(config))
         residual_worst = max(residual_worst, float(np.abs(lindblad.lindblad_rhs(config, rho_ss)).max()))
         t_ss = lindblad.steady_temperature(config)
-        temps = [b.temperature for b in config.baths]
-        bracket_ok = bracket_ok and (min(temps) - 1e-12 <= t_ss <= max(temps) + 1e-12)
+        bracket_ok = bracket_ok and (min(config.temperatures) - 1e-12 <= t_ss <= max(config.temperatures) + 1e-12)
     if residual_worst >= 1e-10:
         failures.append(f"steady-state residual {residual_worst:.2e}")
     if not bracket_ok:

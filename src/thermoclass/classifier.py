@@ -209,9 +209,7 @@ class NotSeparable:
 _LABEL_SIGN = {CLASS_HOT: 1.0, CLASS_COLD: -1.0}
 
 
-def perceptron_fit(
-    points, max_epochs: int = 1000, learning_rate: float = 1.0
-) -> Perceptron | NotSeparable:
+def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
     """Rosenblatt training on labeled points until zero training error.
 
     Features are standardized to zero mean and unit variance internally
@@ -241,8 +239,8 @@ def perceptron_fit(
         errors = 0
         for xi, yi in zip(xs, y):
             if step(float(w @ xi + b)) != yi:
-                w += learning_rate * yi * xi
-                b += learning_rate * yi
+                w += yi * xi
+                b += yi
                 errors += 1
         if errors == 0:
             raw_w = w / std

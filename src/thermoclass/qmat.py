@@ -12,9 +12,6 @@ import math
 
 import numpy as np
 
-EXCITED = 0
-GROUND = 1
-
 # Density-matrix validity tolerances. The eigenvalue floor is negative on
 # purpose: fixed-step integration leaves harmless negative roundoff.
 HERMITICITY_ATOL = 1e-12

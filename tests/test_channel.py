@@ -109,7 +109,7 @@ def test_evolve_many_matches_step_by_step(seed, configs, shared, steps, record_s
     for config, rho0, traj in zip(configs, rho0s, trajs):
         # each configuration stepped alone, one RK4 matrix per step
         generator = lindblad.real_generator(config)
-        step = lindblad._rk4_step(config, generator, dt)
+        step = lindblad._rk4_step(generator, dt)
         settled = None
         if stop_tol is not None:
             bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_every * dt)

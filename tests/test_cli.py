@@ -162,6 +162,24 @@ def test_instance_mean_of_baths_near_float_max_stays_finite(tmp_path, capsys):
     assert read_csv(out).column("mean_bath_temperature") == [1e308]
 
 
+@pytest.mark.filterwarnings("error")
+def test_thermalize_rk4_guards_exit_3_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "guard.cfg"
+    out = tmp_path / "curves.csv"
+    # a bath at the float maximum overflows its thermal occupation; the
+    # guard names the bath before any generator is built from it
+    cfg.write_text("temperatures = 1.7976931348623157e308, 1\nrate_pairs = 0.1 0.1\n")
+    assert run(["thermalize", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: guard: bath 0 temperature") and "shrink dt" not in err
+    assert err.count("\n") == 1
+    # the decay guard passes at these rates, the rotation guard does not
+    cfg.write_text("rate_pairs = 0.01 0.01\ndt = 1.5\nt_end = 100\n")
+    assert run(["thermalize", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: guard: omega * dt = 1.5 exceeds 1.0; shrink dt below 1\n"
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(capsys):
     assert run(["steady", "--config", "/nonexistent/path.cfg"]) == 2
     capsys.readouterr()

@@ -13,7 +13,6 @@ from thermoclass.errors import GuardViolation
 from thermoclass import lindblad
 from thermoclass.lindblad import (
     SystemConfig,
-    ThermalBath,
     evolve,
     evolve_many,
     lindblad_rhs,
@@ -59,19 +58,26 @@ def test_thermal_occupation_rejects_bad_input():
 
 
 def test_config_validation():
+    config = SystemConfig(2.0, np.array([3.0, 1.0]), [0.1, 0.05])
+    assert config == make_config((3.0, 1.0), (0.1, 0.05), omega=2.0)
+    assert type(config.temperatures) is tuple and type(config.temperatures[0]) is float
+    with pytest.raises(ValueError, match="at least one bath"):
+        SystemConfig(1.0, (), ())
+    with pytest.raises(ValueError, match="2 temperatures but 1 rates"):
+        make_config((3.0, 1.0), (0.1,))
+    for omega in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="qubit frequency"):
+            make_config((3.0,), (0.1,), omega=omega)
+    with pytest.raises(GuardViolation, match="bath 1 rate 0.25"):
+        make_config((3.0, 1.0), (0.1, 0.25))
     with pytest.raises(ValueError):
-        SystemConfig(1.0, ())
-    with pytest.raises(ValueError):
-        make_config((3.0,), (0.1,), omega=0.0)
-    with pytest.raises(ValueError, match="frequency"):
-        SystemConfig(1.0, (ThermalBath(3.0, 0.1, 2.0),))
-    with pytest.raises(GuardViolation):
-        make_config((3.0,), (0.25,))
-    with pytest.raises(ValueError):
-        ThermalBath(3.0, -0.1, 1.0)
-    for bad in ((math.nan, 0.1, 1.0), (math.inf, 0.1, 1.0), (3.0, math.nan, 1.0), (3.0, 0.1, math.inf)):
+        make_config((3.0,), (-0.1,))
+    for temperature, rate in ((math.nan, 0.1), (math.inf, 0.1), (-1.0, 0.1), (3.0, math.nan), (3.0, math.inf)):
         with pytest.raises(ValueError, match="finite"):
-            ThermalBath(*bad)
+            make_config((temperature,), (rate,))
+    # an invalid bath is a ValueError even where another bath breaks the guard
+    with pytest.raises(ValueError, match="finite"):
+        make_config((3.0, -1.0), (0.3, 0.1))
 
 
 def test_rhs_thermal_fixed_point_single_bath():
@@ -221,16 +227,15 @@ def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, reco
     # G = sum_i Gamma_i (2 nbar_i + 1): p_e relaxes to p_ss = sum_i Gamma_i nbar_i / G
     # at rate G, and the coherence decays at G/2 while it rotates at omega
     configs = [make_config([t for t, _ in b], [g for _, g in b]) for b in baths]
-    # any dt the stability guard accepts, kept to omega dt <= 0.5: the guard
-    # bounds only the decay rates, and RK4 rotates the coherence unstably
-    # once omega dt exceeds 2 sqrt(2)
-    fastest = max(bath.rate * (bath.occupation + 1.0) for config in configs for bath in config.baths)
-    dt = dt_share * min(lindblad.RK4_STABILITY_MAX / fastest, 0.5)
+    # any dt the guards accept
+    fastest = max(g * (thermal_occupation(1.0, t) + 1.0)
+                  for config in configs for t, g in zip(config.temperatures, config.rates))
+    dt = dt_share * min(lindblad.RK4_STABILITY_MAX / fastest, lindblad.RK4_ROTATION_MAX)
     rng = np.random.default_rng(seed)
     rho0s = np.array([qmat.random_density_matrix(rng) for _ in configs])
     trajs = evolve_many(configs, rho0s, steps * dt, dt, record_steps * dt, stop_tol)
     for config, rho0, traj in zip(configs, rho0s, trajs):
-        nbar = np.array([bath.occupation for bath in config.baths])
+        nbar = np.array([thermal_occupation(1.0, t) for t in config.temperatures])
         total = float(np.sum(np.array(config.rates) * (2.0 * nbar + 1.0)))
         p_ss = float(np.sum(np.array(config.rates) * nbar)) / total
         t = traj.times
@@ -249,12 +254,25 @@ def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, reco
             assert (np.abs(got - exact) <= bound).all()
 
 
+@settings(max_examples=300, deadline=None)
+@given(baths=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 100.0)), st.floats(1e-6, 0.19)),
+                      min_size=1, max_size=4),
+       omega=st.floats(0.1, 10.0))
+@example(baths=[(0.0, 0.1)], omega=1.0)
+@example(baths=[(0.0, 0.1), (0.0, 0.05)], omega=1.0)
+def test_slowest_decay_rate_matches_eigenvalues(baths, omega):
+    # the eigenvalues are 0, -G and -G/2 +- i omega: the coherence rate G/2
+    # is the slowest nonzero one, and it sits on the generator's diagonal
+    generator = lindblad.real_generator(make_config([t for t, _ in baths], [g * omega for _, g in baths], omega))
+    assert lindblad._slowest_decay_rate(generator) == float(np.sort(-np.linalg.eigvals(generator).real)[1])
+
+
 def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
     """Reference for evolve's early stop: one configuration alone through
     channel.propagate, with the per-row exact trace-distance test written
     out. Returns the step marks and the raw (unnormalized) records."""
     generator = lindblad.real_generator(config)
-    step = lindblad._rk4_step(config, generator, dt)[None]
+    step = lindblad._rk4_step(generator, dt)[None]
     record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
     bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
 
@@ -293,10 +311,26 @@ def test_evolve_fixed_point_stays_constant():
     assert max(qmat.trace_distance(s, gibbs) for s in traj.states) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_evolve_rejects_unstable_step():
     config = make_config((5.0,), (0.1,))
     with pytest.raises(GuardViolation, match="shrink dt"):
         evolve(config, qmat.ground_state(), t_end=10.0, dt=0.5)
+    # the decay guard passes (0.047 < 0.1), but at omega dt = 3 RK4 made the
+    # coherence grow to 4e26
+    config = make_config((1.0,), (0.01,))
+    rho0 = [[0.5, 0.5], [0.5, 0.5]]
+    with pytest.raises(GuardViolation, match="omega \\* dt = 3 exceeds 1.0; shrink dt below 1"):
+        evolve(config, rho0, t_end=500.0, dt=3.0, stop_tol=None)
+    traj = evolve(config, rho0, t_end=500.0, dt=np.nextafter(1.0, 0.0), stop_tol=None)
+    assert np.abs(traj.coords[:, 2:]).max() <= 0.5
+    assert abs(traj.final_state[0, 1]) < 1e-3
+    # 1 / expm1(omega / T) overflows at the float maximum; the guard names
+    # the bath before any generator is built from it
+    configs = [make_config((3.0,), (0.1,)), make_config((sys.float_info.max, 1.0), (0.1, 0.1))]
+    with pytest.raises(GuardViolation, match="bath 0 temperature 1.7976931348623157e\\+308 gives a non-finite") as err:
+        evolve_many(configs, qmat.ground_state(), t_end=10.0, dt=0.05)
+    assert "shrink dt" not in str(err.value)
 
 
 def test_evolve_trace_and_hermiticity_drift():
@@ -323,7 +357,7 @@ def test_evolve_damps_coherences_at_half_population_rate():
     config = make_config((3.0, 1.0), (0.1, 0.05))
     rho0 = np.array([[0.5, 0.3 + 0.1j], [0.3 - 0.1j, 0.5]], dtype=complex)
     traj = evolve(config, rho0, t_end=40.0, dt=0.02, stop_tol=None)
-    rate = sum(b.rate * (2.0 * b.occupation + 1.0) for b in config.baths) / 2.0
+    rate = sum(g * (2.0 * thermal_occupation(1.0, t) + 1.0) for t, g in zip(config.temperatures, config.rates)) / 2.0
     c0 = abs(rho0[0, 1])
     for t, state in zip(traj.times, traj.states):
         np.testing.assert_allclose(abs(state[0, 1]), c0 * math.exp(-rate * t), rtol=1e-6)
@@ -402,9 +436,8 @@ def test_steady_temperature_bracketed_by_bath_temperatures():
     rng = np.random.default_rng(9)
     for _ in range(200):
         config = random_config(rng)
-        temps = [b.temperature for b in config.baths]
         t = steady_temperature(config)
-        assert min(temps) - 1e-12 <= t <= max(temps) + 1e-12
+        assert min(config.temperatures) - 1e-12 <= t <= max(config.temperatures) + 1e-12
 
 
 def test_equal_rate_high_temperature_mean():
