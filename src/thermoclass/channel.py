@@ -109,9 +109,10 @@ def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) 
 def repeated(step: np.ndarray, n: int, block: int):
     """n applications of one (possibly stacked) step matrix as blocks for
     propagate: step**block, n // block times, then step**(n % block) if
-    that remainder is not 0."""
+    that remainder is not 0. step**block is built only if n holds a full
+    block, as a block far longer than n may overflow it."""
     full, rest = divmod(n, block)
-    blocks = itertools.repeat((block, np.linalg.matrix_power(step, block)), full)
+    blocks = itertools.repeat((block, np.linalg.matrix_power(step, block)), full) if full else ()
     if rest:
         blocks = itertools.chain(blocks, [(rest, np.linalg.matrix_power(step, rest))])
     return blocks

@@ -9,17 +9,22 @@ Exit codes: 0 success, 2 config error, 3 numerical-guard violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, acceptance, classifier, collisions, lindblad, qmat, svgplot, transmon
+from . import __version__
 from .errors import ConfigError, GuardViolation
 from .tables import ResultTable, format_value, write_csv
+
+if TYPE_CHECKING:
+    from . import classifier
 
 
 def _parse_float(text: str) -> float:
@@ -199,6 +204,8 @@ def _metadata(config: RunConfig) -> dict:
 
 
 def _decision_rule(settings) -> classifier.DecisionRule:
+    from . import classifier
+
     if settings["rule"] == "instance_mean":
         if settings.get("theta") is not None:
             raise ConfigError("theta is only meaningful with rule = fixed_threshold")
@@ -211,6 +218,8 @@ def _decision_rule(settings) -> classifier.DecisionRule:
 
 
 def _cmd_steady(config: RunConfig, args) -> ResultTable:
+    from . import lindblad
+
     s = config.settings
     system = lindblad.make_config(s["temperatures"], s["gammas"], s["omega"])
     ratio = lindblad.steady_population_ratio(system)
@@ -224,6 +233,8 @@ def _cmd_steady(config: RunConfig, args) -> ResultTable:
 
 
 def _cmd_thermalize(config: RunConfig, args) -> ResultTable:
+    from . import classifier, lindblad
+
     s = config.settings
     systems = [
         lindblad.make_config(s["temperatures"], rates, s["omega"]) for rates in s["rate_pairs"]
@@ -234,6 +245,8 @@ def _cmd_thermalize(config: RunConfig, args) -> ResultTable:
 
 
 def _cmd_sweep_gamma(config: RunConfig, args) -> ResultTable:
+    from . import classifier
+
     s = config.settings
     return classifier.gamma_sweep(s["t1"], s["t2"], s["gamma_total"], s["n_points"], s["omega"])
 
@@ -246,6 +259,8 @@ def _instances_table(points, feature_names) -> ResultTable:
 
 
 def _cmd_classify_gamma(config: RunConfig, args) -> ResultTable:
+    from . import classifier
+
     s = config.settings
     rule = _decision_rule(s)
     points = classifier.generate_instances(
@@ -257,6 +272,8 @@ def _cmd_classify_gamma(config: RunConfig, args) -> ResultTable:
 
 
 def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
+    from . import classifier
+
     s = config.settings
     rule = _decision_rule(s)
     points = classifier.generate_instances(
@@ -268,6 +285,8 @@ def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
 
 
 def _cmd_collide(config: RunConfig, args) -> ResultTable:
+    from . import collisions, qmat
+
     s = config.settings
     temps = s["temperatures"]
     if s["probabilities"] is not None and s["gammas"] is not None:
@@ -297,6 +316,8 @@ def _cmd_collide(config: RunConfig, args) -> ResultTable:
 
 
 def _cmd_transmon_budget(config: RunConfig, args) -> ResultTable:
+    from . import transmon
+
     s = config.settings
     budget = transmon.TimingBudget(
         tau_int_ns=s["tau_int_ns"], tau_pr_ns=s["tau_pr_ns"], tau_r_ns=s["tau_r_ns"],
@@ -323,6 +344,8 @@ _COMMANDS = {
 
 
 def _render_svg(experiment: str, table: ResultTable) -> str | None:
+    from . import svgplot
+
     if experiment == "thermalize":
         times, *series = zip(*table.rows)
         return svgplot.line_plot(times, series, table.columns[1:],
@@ -350,6 +373,8 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
 
 
 def _run_verify(args) -> int:
+    from . import acceptance
+
     only = None
     if args.only:
         only = {int(part) for part in args.only.split(",")}
@@ -365,8 +390,19 @@ def _run_verify(args) -> int:
             rows=[(r.number, r.name, r.passed, r.details.replace(",", ";")) for r in results],
             metadata={"artifact": f"thermoclass {__version__}", "experiment": "verify"},
         )
-        write_csv(table, args.out)
+        with _writing_output():
+            write_csv(table, args.out)
     return 0 if all(r.passed for r in results) else 4
+
+
+@contextlib.contextmanager
+def _writing_output():
+    """Report a failure to open or write an output file as a config error,
+    as an unreadable config file is."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 @functools.cache
@@ -423,14 +459,15 @@ def main(argv=None) -> int:
         table = _COMMANDS[config.experiment](config, args)
         table.metadata = {**_metadata(config), **table.metadata}
         if args.out:
-            write_csv(table, args.out)
+            with _writing_output():
+                write_csv(table, args.out)
             if args.svg:
                 svg = _render_svg(config.experiment, table)
                 if svg is None:
                     print(f"note: --svg not supported for {config.experiment}", file=sys.stderr)
                 else:
                     svg_path = os.path.splitext(args.out)[0] + ".svg"
-                    with open(svg_path, "w", encoding="utf-8") as fh:
+                    with _writing_output(), open(svg_path, "w", encoding="utf-8") as fh:
                         fh.write(svg)
         elif args.svg:
             raise ConfigError("--svg requires --out")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,8 @@ def run_collisions(
     """
     if n < 1:
         raise ValueError(f"need at least one collision, got n={n}")
+    if n > sys.maxsize:
+        raise ValueError(f"n={n} collisions exceeds the largest collision count {sys.maxsize}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     qmat.validate_density_matrix(rho0, "initial state")

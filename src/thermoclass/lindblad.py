@@ -9,6 +9,7 @@ scaled by the common mode frequency omega.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +306,8 @@ def evolve_many(
     for rho in rho0.reshape(-1, 2, 2):
         qmat.validate_density_matrix(rho, "initial state")
 
+    if t_end / dt > sys.maxsize:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceeds the largest step count {sys.maxsize}")
     n_steps = int(round(t_end / dt))
     record_stride = max(1, int(round(record_every / dt)))
     check_stride = max(1, int(round(1.0 / dt)))

@@ -185,6 +185,47 @@ def test_missing_config_file_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["steady"], "missing/out.csv"),
+    (["verify", "--only", "7"], "missing/out.csv"),
+    (["sweep-gamma", "--svg"], "out.csv"),  # the SVG path is taken by a directory
+])
+def test_unwritable_output_exits_2_with_one_line(tmp_path, capsys, argv, target):
+    (tmp_path / "out.svg").mkdir()
+    assert run([*argv, "--out", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: cannot write output file:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text, count", [
+    ("thermalize", "t_end = 1e300\n", "2e+301 steps"),
+    ("collide", "collisions = 100000000000000000000\n", "n=100000000000000000000 collisions"),
+    ("collide", "collisions = 100000000000000000000\nschedule = sampled\n",
+     "n=100000000000000000000 collisions"),
+])
+def test_step_counts_beyond_maxsize_exit_2_with_one_line(tmp_path, capsys, command, text, count):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and count in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_thermalize_record_stride_beyond_run_records_ends_only(tmp_path, capsys):
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text("sample_every = 1e300\nt_end = 100\n")
+    out = tmp_path / "out.csv"
+    assert run(["thermalize", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row[0] for row in read_csv(out).rows] == [0.0, 100.0]
+
+
 def test_thermalize_csv_final_row_matches_asymptotes(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     cfg = tmp_path / "fast.cfg"
@@ -307,7 +348,7 @@ def test_help_screens_render(capsys):
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):
     fake = [acceptance.CriterionResult(1, "stub", False, "forced failure")]
-    monkeypatch.setattr(cli.acceptance, "run_all", lambda only=None: fake)
+    monkeypatch.setattr(acceptance, "run_all", lambda only=None: fake)
     assert run(["verify"]) == 4
     assert "FAIL" in capsys.readouterr().out
 
