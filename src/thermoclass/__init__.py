@@ -16,7 +16,8 @@ __version__ = "0.1.0"
 _HOMES = {
     **dict.fromkeys((
         "ClassificationResult", "DecisionRule", "LabeledPoint", "NotSeparable", "Perceptron",
-        "classify", "gamma_sweep", "generate_instances", "perceptron_fit", "thermalization_curves",
+        "classify", "gamma_sweep", "generate_instances", "instances_table", "perceptron_fit",
+        "thermalization_curves",
     ), "classifier"),
     **dict.fromkeys(("Trajectory", "boltzmann_temperature"), "channel"),
     **dict.fromkeys(("CollisionConfig", "run_collisions", "single_collision"), "collisions"),

@@ -6,6 +6,7 @@ separable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -20,6 +21,9 @@ CLASS_COLD = "class2"
 
 GAMMA_SPACE = "gamma"
 TEMPERATURE_SPACE = "temperature"
+
+# the names of the two feature columns of an instance table, per space
+_FEATURE_NAMES = {GAMMA_SPACE: ("gamma1", "gamma2"), TEMPERATURE_SPACE: ("t1", "t2")}
 
 
 @dataclass(frozen=True)
@@ -77,13 +81,18 @@ class LabeledPoint(NamedTuple):
     threshold: float | None = None
 
 
+# a LabeledPoint from a 4-tuple of its fields: what LabeledPoint._make does,
+# without a Python-level call per point
+_labeled_point = functools.partial(tuple.__new__, LabeledPoint)
+
+
 def _label(temperatures: np.ndarray, rates: np.ndarray, rule: DecisionRule, omega: float) -> tuple:
     """Steady temperatures, thresholds and labels of (n, k) reservoir sets;
     the threshold comparison is inclusive on the hot side."""
     t_ss = lindblad.steady_temperatures(temperatures, rates, omega)
     thresholds = rule.thresholds(temperatures)
-    labels = np.where(t_ss >= thresholds, CLASS_HOT, CLASS_COLD)
-    return t_ss.tolist(), thresholds.tolist(), labels.tolist()
+    labels = [CLASS_HOT if hot else CLASS_COLD for hot in (t_ss >= thresholds).tolist()]
+    return t_ss.tolist(), thresholds.tolist(), labels
 
 
 def classify(config: lindblad.SystemConfig, rule: DecisionRule) -> ClassificationResult:
@@ -131,22 +140,10 @@ def gamma_sweep(
     return ResultTable(columns=["delta_gamma", "gamma1", "gamma2", "steady_temperature"], rows=rows)
 
 
-def generate_instances(
-    space: str,
-    n: int,
-    ranges,
-    seed: int,
-    rule: DecisionRule,
-    fixed,
-    omega: float = 1.0,
-) -> list[LabeledPoint]:
-    """Draw n uniform feature pairs and label each by its steady temperature.
-
-    space="temperature": features are bath temperatures, fixed = the two
-    coupling rates; space="gamma": features are coupling rates, fixed = the
-    two bath temperatures. ranges is ((lo, hi), (lo, hi)) per feature axis.
-    Identical seeds reproduce identical point sets bit for bit.
-    """
+def _instance_columns(space: str, n: int, ranges, seed: int, rule: DecisionRule, fixed, omega: float) -> tuple:
+    """Draw n uniform feature pairs and label each by its steady temperature;
+    returns the columns x1, x2, steady temperature, threshold and label as
+    lists. See generate_instances for the arguments."""
     if n < 1:
         raise ValueError(f"need at least one instance, got n={n}")
     (lo1, hi1), (lo2, hi2) = ranges
@@ -174,8 +171,46 @@ def generate_instances(
     features = np.column_stack((x1, x2))
     pinned = np.tile(fixed, (n, 1))
     temps, rates = (pinned, features) if space == GAMMA_SPACE else (features, pinned)
-    t_ss, thresholds, labels = _label(temps, rates, rule, omega)
-    return list(map(LabeledPoint, zip(x1.tolist(), x2.tolist()), t_ss, labels, thresholds))
+    return (x1.tolist(), x2.tolist(), *_label(temps, rates, rule, omega))
+
+
+def generate_instances(
+    space: str,
+    n: int,
+    ranges,
+    seed: int,
+    rule: DecisionRule,
+    fixed,
+    omega: float = 1.0,
+) -> list[LabeledPoint]:
+    """Draw n uniform feature pairs and label each by its steady temperature.
+
+    space="temperature": features are bath temperatures, fixed = the two
+    coupling rates; space="gamma": features are coupling rates, fixed = the
+    two bath temperatures. ranges is ((lo, hi), (lo, hi)) per feature axis.
+    Identical seeds reproduce identical point sets bit for bit.
+    """
+    x1, x2, t_ss, thresholds, labels = _instance_columns(space, n, ranges, seed, rule, fixed, omega)
+    return list(map(_labeled_point, zip(zip(x1, x2), t_ss, labels, thresholds)))
+
+
+def instances_table(
+    space: str,
+    n: int,
+    ranges,
+    seed: int,
+    rule: DecisionRule,
+    fixed,
+    omega: float = 1.0,
+) -> ResultTable:
+    """The instances of generate_instances with the same arguments, as a
+    table with one row per instance: the two features (gamma1, gamma2 or
+    t1, t2), the steady temperature, the threshold and the label."""
+    x1, x2, t_ss, thresholds, labels = _instance_columns(space, n, ranges, seed, rule, fixed, omega)
+    return ResultTable(
+        columns=[*_FEATURE_NAMES[space], "steady_temperature", "threshold", "label"],
+        rows=list(zip(x1, x2, t_ss, thresholds, labels)),
+    )
 
 
 def step(y: float) -> float:

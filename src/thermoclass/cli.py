@@ -251,24 +251,16 @@ def _cmd_sweep_gamma(config: RunConfig, args) -> ResultTable:
     return classifier.gamma_sweep(s["t1"], s["t2"], s["gamma_total"], s["n_points"], s["omega"])
 
 
-def _instances_table(points, feature_names) -> ResultTable:
-    rows = [(*features, t_ss, threshold, label) for features, t_ss, label, threshold in points]
-    return ResultTable(
-        columns=[*feature_names, "steady_temperature", "threshold", "label"], rows=rows
-    )
-
-
 def _cmd_classify_gamma(config: RunConfig, args) -> ResultTable:
     from . import classifier
 
     s = config.settings
     rule = _decision_rule(s)
-    points = classifier.generate_instances(
+    return classifier.instances_table(
         classifier.GAMMA_SPACE, s["n"],
         ((s["gamma_min"], s["gamma_max"]), (s["gamma_min"], s["gamma_max"])),
         seed=s["seed"], rule=rule, fixed=(s["t1"], s["t2"]), omega=s["omega"],
     )
-    return _instances_table(points, ("gamma1", "gamma2"))
 
 
 def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
@@ -276,12 +268,11 @@ def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
 
     s = config.settings
     rule = _decision_rule(s)
-    points = classifier.generate_instances(
+    return classifier.instances_table(
         classifier.TEMPERATURE_SPACE, s["n"],
         ((s["t_min"], s["t_max"]), (s["t_min"], s["t_max"])),
         seed=s["seed"], rule=rule, fixed=(s["gamma"], s["gamma"]), omega=s["omega"],
     )
-    return _instances_table(points, ("t1", "t2"))
 
 
 def _cmd_collide(config: RunConfig, args) -> ResultTable:

@@ -169,9 +169,10 @@ def _sampled_blocks(maps: np.ndarray, picks: np.ndarray, block: int):
     products are formed _BATCH runs at a time, so memory does not grow with
     the number of collisions."""
     full = len(picks) // block
-    runs = picks[: full * block].reshape(full, block)
-    for start in range(0, full, _BATCH):
-        yield from zip(itertools.repeat(block), _products(maps, runs[start : start + _BATCH]))
+    if full:  # numpy rejects even an empty reshape to rows longer than its largest dimension
+        runs = picks[: full * block].reshape(full, block)
+        for start in range(0, full, _BATCH):
+            yield from zip(itertools.repeat(block), _products(maps, runs[start : start + _BATCH]))
     rest = picks[full * block :]
     if len(rest):
         yield len(rest), _products(maps, rest[None])[0]

@@ -14,10 +14,12 @@ from thermoclass.classifier import (
     classify,
     gamma_sweep,
     generate_instances,
+    instances_table,
     perceptron_fit,
     step,
     thermalization_curves,
 )
+from thermoclass.tables import ResultTable, render_csv
 
 
 def test_decision_rule_validation():
@@ -104,12 +106,13 @@ def test_generate_instances_deterministic():
 
 def test_generate_instances_validation():
     rule = DecisionRule.fixed(3.0)
-    with pytest.raises(ValueError):
-        generate_instances(TEMPERATURE_SPACE, 0, ((0.5, 5.5), (0.5, 5.5)), 1, rule, (0.02, 0.02))
-    with pytest.raises(ValueError, match="weak-coupling"):
-        generate_instances(GAMMA_SPACE, 5, ((0.01, 0.5), (0.01, 0.5)), 1, rule, (3.0, 1.0))
-    with pytest.raises(ValueError):
-        generate_instances("rates", 5, ((0.01, 0.1), (0.01, 0.1)), 1, rule, (3.0, 1.0))
+    for make in (generate_instances, instances_table):
+        with pytest.raises(ValueError):
+            make(TEMPERATURE_SPACE, 0, ((0.5, 5.5), (0.5, 5.5)), 1, rule, (0.02, 0.02))
+        with pytest.raises(ValueError, match="weak-coupling"):
+            make(GAMMA_SPACE, 5, ((0.01, 0.5), (0.01, 0.5)), 1, rule, (3.0, 1.0))
+        with pytest.raises(ValueError, match="space"):
+            make("rates", 5, ((0.01, 0.1), (0.01, 0.1)), 1, rule, (3.0, 1.0))
 
 
 def test_generate_instances_labels_match_direct_classification():
@@ -130,6 +133,62 @@ def test_generate_instances_labels_match_direct_classification():
         assert (p.steady_temperature, p.threshold, p.label) == (
             direct.steady_temperature, 2.0, direct.label
         )
+
+
+# (space, ranges, rule, fixed): both spaces under both rules. Temperature
+# space under instance_mean has a threshold that varies by row; gamma space
+# with two equal fixed temperatures has T_ss == threshold on every row.
+INSTANCE_CASES = [
+    (TEMPERATURE_SPACE, ((0.5, 5.5), (0.5, 5.5)), DecisionRule.fixed(3.0), (0.02, 0.02)),
+    (TEMPERATURE_SPACE, ((0.5, 5.5), (1.0, 2.0)), DecisionRule.instance_mean(), (0.03, 0.01)),
+    (GAMMA_SPACE, ((0.005, 0.1), (0.005, 0.1)), DecisionRule.instance_mean(), (3.0, 1.0)),
+    (GAMMA_SPACE, ((0.005, 0.1), (0.005, 0.1)), DecisionRule.fixed(2.2), (3.0, 1.0)),
+    (GAMMA_SPACE, ((0.005, 0.1), (0.005, 0.1)), DecisionRule.instance_mean(), (2.5, 2.5)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("space, ranges, rule, fixed", INSTANCE_CASES)
+def test_instances_table_renders_the_points_of_generate_instances(space, ranges, rule, fixed, n):
+    args = (space, n, ranges, 11, rule, fixed)
+    points = generate_instances(*args)
+    table = instances_table(*args)
+    names = ("gamma1", "gamma2") if space == GAMMA_SPACE else ("t1", "t2")
+    expected = ResultTable(
+        columns=[*names, "steady_temperature", "threshold", "label"],
+        rows=[(*features, t_ss, threshold, label) for features, t_ss, label, threshold in points],
+    )
+    assert table.columns == expected.columns
+    # line by line: pytest's diff of two long unequal strings takes minutes
+    assert render_csv(table).splitlines() == render_csv(expected).splitlines()
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("space, ranges, rule, fixed", INSTANCE_CASES)
+def test_generate_instances_equals_points_built_one_at_a_time(space, ranges, rule, fixed, n):
+    points = generate_instances(space, n, ranges, 11, rule, fixed)
+    rng = np.random.default_rng(11)
+    x = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in ranges])
+    pinned = np.tile(fixed, (n, 1))
+    temps, rates = (pinned, x) if space == GAMMA_SPACE else (x, pinned)
+    t_ss = lindblad.steady_temperatures(temps, rates, 1.0).tolist()
+    thresholds = rule.thresholds(temps).tolist()
+    expected = []
+    for i in range(n):
+        label = CLASS_HOT if t_ss[i] >= thresholds[i] else CLASS_COLD
+        expected.append(LabeledPoint(tuple(x[i].tolist()), t_ss[i], label, thresholds[i]))
+    assert points == expected
+    assert all(type(p) is LabeledPoint and type(p.label) is str for p in points)
+
+
+def test_instances_at_the_threshold_are_labeled_hot():
+    # equal bath temperatures: the steady temperature is exactly their value
+    table = instances_table(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
+                            DecisionRule.instance_mean(), (2.5, 2.5))
+    assert [row[2:] for row in table.rows] == [(2.5, 2.5, CLASS_HOT)] * 3
+    table = instances_table(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
+                            DecisionRule.fixed(2.5), (2.5, 2.5))
+    assert [row[2:] for row in table.rows] == [(2.5, 2.5, CLASS_HOT)] * 3
 
 
 def test_labels_invariant_under_rate_rescaling():

@@ -226,6 +226,17 @@ def test_thermalize_record_stride_beyond_run_records_ends_only(tmp_path, capsys)
     assert [row[0] for row in read_csv(out).rows] == [0.0, 100.0]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("schedule", ["mixture", "sampled"])
+def test_collide_record_stride_beyond_run_records_ends_only(tmp_path, capsys, schedule):
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(f"schedule = {schedule}\ncollisions = 200\nrecord_every = 100000000000000000000\n")
+    out = tmp_path / "out.csv"
+    assert run(["collide", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row[0] for row in read_csv(out).rows] == [0.0, 200.0]
+
+
 def test_thermalize_csv_final_row_matches_asymptotes(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     cfg = tmp_path / "fast.cfg"

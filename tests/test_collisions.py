@@ -221,6 +221,15 @@ def test_sampled_schedule_deterministic_under_seed():
     assert np.abs(a.final_state - c.final_state).max() > 0.0
 
 
+def test_sampled_record_stride_beyond_run_records_ends_only():
+    config = CollisionConfig(1.0, 0.05, 1.0, ((3.0, 0.5), (1.0, 0.5)), schedule="sampled", seed=7)
+    whole = run_collisions(qmat.ground_state(), config, n=200, record_every=200)
+    beyond = run_collisions(qmat.ground_state(), config, n=200, record_every=10**20)
+    assert beyond.times.tolist() == whole.times.tolist() == [0, 200]
+    np.testing.assert_array_equal(beyond.coords, whole.coords)
+    assert beyond.final_state.tobytes() == whole.final_state.tobytes()
+
+
 def test_sampled_schedule_agrees_with_mixture_on_average():
     temps, rates = (3.0, 1.0), (0.1, 0.1)
     mixture = mixture_config(rates, temps)

@@ -14,7 +14,7 @@ import thermoclass
 HOMES = {
     "classifier": ("ClassificationResult", "DecisionRule", "LabeledPoint", "NotSeparable",
                    "Perceptron", "classify", "gamma_sweep", "generate_instances",
-                   "perceptron_fit", "thermalization_curves"),
+                   "instances_table", "perceptron_fit", "thermalization_curves"),
     "channel": ("Trajectory", "boltzmann_temperature"),
     "collisions": ("CollisionConfig", "run_collisions", "single_collision"),
     "errors": ("ConfigError", "GuardViolation"),
@@ -52,9 +52,15 @@ def test_importing_the_cli_loads_only_its_own_modules():
         "package": CLI_MODULES, "numpy": True, "argparse": True}
 
 
+CLOSED_FORM = ["thermoclass.channel", "thermoclass.lindblad", "thermoclass.qmat"]
+
+
 @pytest.mark.parametrize("command, added", [
-    ("steady", ["thermoclass.channel", "thermoclass.lindblad", "thermoclass.qmat"]),
+    ("steady", CLOSED_FORM),
     ("transmon-budget", ["thermoclass.transmon"]),
+    ("classify-temp", ["thermoclass.classifier", *CLOSED_FORM]),
+    ("classify-gamma", ["thermoclass.classifier", *CLOSED_FORM]),
+    ("sweep-gamma", ["thermoclass.classifier", *CLOSED_FORM]),
 ])
 def test_a_subcommand_loads_only_the_modules_it_runs(command, added):
     loaded = _loaded_after(f"import thermoclass.cli; assert thermoclass.cli.main([{command!r}]) == 0")
