@@ -20,7 +20,7 @@ _HOMES = {
         "thermalization_curves",
     ), "classifier"),
     **dict.fromkeys(("Trajectory", "boltzmann_temperature"), "channel"),
-    **dict.fromkeys(("CollisionConfig", "run_collisions", "single_collision"), "collisions"),
+    **dict.fromkeys(("CollisionConfig", "run_collisions", "run_collisions_many", "single_collision"), "collisions"),
     **dict.fromkeys(("ConfigError", "GuardViolation"), "errors"),
     **dict.fromkeys((
         "SystemConfig", "evolve", "evolve_many", "lindblad_rhs", "make_config",

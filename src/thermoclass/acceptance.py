@@ -106,13 +106,15 @@ def check_homogenization() -> CriterionResult:
     """Single-reservoir collision streams thermalize the qubit to the
     reservoir Gibbs state within a bounded collision count."""
     t0 = time.perf_counter()
+    temps = (0.5, 1.0, 2.0, 5.0)
+    configs = [
+        collisions.CollisionConfig(frequency=1.0, coupling=0.05, tau=1.0, reservoirs=((temp, 1.0),))
+        for temp in temps
+    ]
+    trajs = collisions.run_collisions_many(qmat.ground_state(), configs, n=6000)
     counts = {}
     ok = True
-    for temp in (0.5, 1.0, 2.0, 5.0):
-        config = collisions.CollisionConfig(
-            frequency=1.0, coupling=0.05, tau=1.0, reservoirs=((temp, 1.0),)
-        )
-        traj = collisions.run_collisions(qmat.ground_state(), config, n=6000)
+    for temp, traj in zip(temps, trajs):
         target = channel.to_coords(qmat.qubit_thermal_state(1.0, temp))
         dists = channel.trace_distances(traj.coords - target)
         below = traj.times[dists < 1e-3]
@@ -134,16 +136,12 @@ def check_collision_crosscheck() -> CriterionResult:
     """Mixture-schedule collision steady temperatures agree with the
     continuous-dynamics closed form over a temperature/rate-ratio grid, using
     rate-calibrated reservoir probabilities."""
-    worst = 0.0
-    for t1, t2 in ((1.0, 5.0), (3.0, 1.0), (5.0, 4.0)):
-        for ratio in (1.0, 2.0, 0.5):
-            rates = (0.1 * ratio, 0.1)
-            temps = (t1, t2)
-            config = collisions.mixture_config(rates, temps)
-            traj = collisions.run_collisions(qmat.ground_state(), config, n=8000, record_every=1000)
-            analytic = lindblad.steady_temperature(lindblad.make_config(temps, rates))
-            rel = abs(traj.final_temperature - analytic) / analytic
-            worst = max(worst, rel)
+    grid = [((t1, t2), (0.1 * ratio, 0.1))
+            for t1, t2 in ((1.0, 5.0), (3.0, 1.0), (5.0, 4.0)) for ratio in (1.0, 2.0, 0.5)]
+    configs = [collisions.mixture_config(rates, temps) for temps, rates in grid]
+    trajs = collisions.run_collisions_many(qmat.ground_state(), configs, n=8000, record_every=1000)
+    analytic = lindblad.steady_temperatures([temps for temps, _ in grid], [rates for _, rates in grid])
+    worst = max(abs(traj.final_temperature - t) / t for traj, t in zip(trajs, analytic.tolist()))
     # the uncalibrated weighting p ~ Gamma lands on the probability-weighted
     # mean of the ancilla excitations instead; quantify it for the record
     q = [1.0 / (1.0 + math.exp(1.0 / t)) for t in (1.0, 5.0)]

@@ -58,6 +58,22 @@ def trace_distances(dy: np.ndarray) -> np.ndarray:
     return 0.5 * (np.abs(half_trace + radius) + np.abs(half_trace - radius))
 
 
+# rows of a fresh record buffer of propagate
+_FIRST_RECORDS = 16
+
+
+def _record(records: np.ndarray, m: int, y) -> np.ndarray:
+    """Write y as record m of the buffer records, whose first m rows are
+    filled, into a buffer twice as long if records is full; returns the
+    buffer written to."""
+    if m == len(records):
+        grown = np.empty((2 * m, *records.shape[1:]))
+        grown[:m] = records
+        records = grown
+    records[m] = y
+    return records
+
+
 def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) -> tuple:
     """Apply the blocks of the iterable `blocks`, (count, matrix) pairs, to y
     one after the other; each matrix advances y by `count` steps at once.
@@ -74,9 +90,13 @@ def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) 
     end (see repeated).
     Returns the step counts of the records, the records stacked on a new
     first axis, and the step count at which each row stopped (with
-    `settled`) or the last step count (without).
+    `settled`) or the last step count (without). The records go into one
+    array that doubles when full, so its size follows the records made, not
+    the step count, which early stop may leave far from reached.
     """
-    marks, records = [0], [y]
+    marks = [0]
+    records = np.empty((_FIRST_RECORDS, *np.shape(y)))
+    records[0] = y
     y_check = y
     live = None  # the rows still stepping once some have stopped
     stopped = None if settled is None else np.full(len(y), -1)
@@ -89,8 +109,8 @@ def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) 
             y[live] = block[live] @ y[live]
         i += count
         if i % record_every == 0:
+            records = _record(records, len(marks), y)
             marks.append(i)
-            records.append(y)
         if settled is not None and i % check_every == 0:
             now = settled(y - y_check) & (stopped < 0)
             if now.any():
@@ -100,10 +120,10 @@ def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) 
                     break
             y_check = y
     if marks[-1] != i:
+        records = _record(records, len(marks), y)
         marks.append(i)
-        records.append(y)
     ends = i if settled is None else np.where(stopped < 0, i, stopped)
-    return np.asarray(marks), np.stack(records), ends
+    return np.asarray(marks), records[: len(marks)], ends
 
 
 def repeated(step: np.ndarray, n: int, block: int):

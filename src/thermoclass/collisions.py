@@ -115,39 +115,74 @@ def run_collisions(
 ) -> Trajectory:
     """Apply n collisions starting from rho0, recording every record_every-th
     state (collision 0 and n always included); the trajectory's times are
-    collision counts.
+    collision counts. This is run_collisions_many for one configuration.
+    """
+    return run_collisions_many(rho0, [config], n, record_every)[0]
+
+
+def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1) -> list[Trajectory]:
+    """run_collisions for several configurations of one schedule at once, all
+    from the state rho0 or each from its own state of a (len(configs), 2, 2)
+    stack rho0; each trajectory is bitwise the one run_collisions gives for
+    its configuration and initial state alone.
 
     Each reservoir's collision is a fixed linear map on the qubit, built once
     as a 4x4 matrix by applying the collision to the coordinate basis.
     mixture: every step applies rho -> sum_i p_i Lambda_i[rho].
-    sampled: every step draws one reservoir (deterministic under the seed).
-    Between two records the collisions are applied as one product matrix.
+    sampled: every step draws one reservoir (deterministic under each
+    configuration's own seed).
+    Between two records the collisions are applied as one product matrix,
+    one per configuration, stacked, so the configurations step together.
     """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("at least one configuration is required")
+    schedules = {config.schedule for config in configs}
+    if len(schedules) > 1:
+        raise ValueError(f"configurations of one run need one schedule, got {sorted(schedules)}")
     if n < 1:
         raise ValueError(f"need at least one collision, got n={n}")
     if n > sys.maxsize:
         raise ValueError(f"n={n} collisions exceeds the largest collision count {sys.maxsize}")
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    qmat.validate_density_matrix(rho0, "initial state")
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape not in ((2, 2), (len(configs), 2, 2)):
+        raise ValueError(f"need one 2x2 initial state or {len(configs)} of them, got shape {rho0.shape}")
+    for rho in rho0.reshape(-1, 2, 2):
+        qmat.validate_density_matrix(rho, "initial state")
 
+    maps = [_collision_maps(config) for config in configs]
+    if schedules == {"mixture"}:
+        mixtures = [sum(p * m for p, m in zip(config.probabilities, row)) for config, row in zip(configs, maps)]
+        blocks = channel.repeated(np.stack(mixtures), n, record_every)
+    else:
+        # one draw of all n indices gives the same stream as n single draws;
+        # each row's picks index its own maps in the table of every row's maps
+        offsets = np.cumsum([0, *map(len, maps[:-1])])
+        picks = np.stack([
+            offset + np.random.default_rng(config.seed).choice(len(row), size=n, p=config.probabilities)
+            for offset, config, row in zip(offsets, configs, maps)
+        ])
+        blocks = _sampled_blocks(np.concatenate(maps), picks, record_every)
+
+    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
+    marks, coords, _ = channel.propagate(y0, blocks, record_every)
+    return [
+        Trajectory(times=marks, coords=coords[:, j, :, 0], omega=config.frequency)
+        for j, config in enumerate(configs)
+    ]
+
+
+def _collision_maps(config: CollisionConfig) -> np.ndarray:
+    """The 4x4 matrix of one collision with each reservoir of config, stacked."""
     u = qmat.unitary_propagator(flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
-    maps = [
+    return np.stack([
         channel.matrix_of(
             functools.partial(_collide, rho_ancilla=qmat.qubit_thermal_state(config.frequency, t), propagator=u)
         )
         for t in config.temperatures
-    ]
-    probs = np.asarray(config.probabilities)
-    if config.schedule == "mixture":
-        blocks = channel.repeated(sum(p * m for p, m in zip(probs, maps)), n, record_every)
-    else:
-        # one draw of all n indices gives the same stream as n single draws
-        picks = np.random.default_rng(config.seed).choice(len(maps), size=n, p=probs)
-        blocks = _sampled_blocks(np.stack(maps), picks, record_every)
-
-    marks, coords, _ = channel.propagate(channel.to_coords(np.asarray(rho0, dtype=complex)), blocks, record_every)
-    return Trajectory(times=marks, coords=coords, omega=config.frequency)
+    ])
 
 
 # record intervals whose sampled-schedule products are formed in one batch
@@ -155,27 +190,31 @@ _BATCH = 1024
 
 
 def _products(maps: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """Product of the matrices maps[runs[r, 0]], maps[runs[r, 1]], ... for each
-    row r of the (m, k) index array runs, later collisions on the left."""
-    acc = maps[runs[:, 0]]
-    for j in range(1, runs.shape[1]):
-        acc = maps[runs[:, j]] @ acc
+    """Product of the matrices maps[runs[..., 0]], maps[runs[..., 1]], ... for
+    each row of the index array runs along its last axis, later collisions
+    on the left."""
+    acc = maps[runs[..., 0]]
+    for j in range(1, runs.shape[-1]):
+        acc = maps[runs[..., j]] @ acc
     return acc
 
 
 def _sampled_blocks(maps: np.ndarray, picks: np.ndarray, block: int):
-    """The collisions of the picked maps as blocks for channel.propagate: the
-    product of each run of `block` picks, then of the remaining picks. The
-    products are formed _BATCH runs at a time, so memory does not grow with
-    the number of collisions."""
-    full = len(picks) // block
+    """The collisions of the picked maps as blocks for channel.propagate, for
+    each row of the (b, n) index array picks at once: the products of each
+    run of `block` picks, then of the remaining picks, stacked over the b
+    rows. The products are formed _BATCH runs at a time, so memory does not
+    grow with the number of collisions."""
+    rows, n = picks.shape
+    full = n // block
     if full:  # numpy rejects even an empty reshape to rows longer than its largest dimension
-        runs = picks[: full * block].reshape(full, block)
+        runs = picks[:, : full * block].reshape(rows, full, block)
         for start in range(0, full, _BATCH):
-            yield from zip(itertools.repeat(block), _products(maps, runs[start : start + _BATCH]))
-    rest = picks[full * block :]
-    if len(rest):
-        yield len(rest), _products(maps, rest[None])[0]
+            products = _products(maps, runs[:, start : start + _BATCH])
+            yield from zip(itertools.repeat(block), products.swapaxes(0, 1))
+    rest = picks[:, full * block :]
+    if rest.shape[1]:
+        yield rest.shape[1], _products(maps, rest)
 
 
 def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated: bool = True):
@@ -185,7 +224,7 @@ def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated:
     nbar/(2 nbar + 1), not nbar, so per collision it thermalizes the system
     a factor (2 nbar + 1) more weakly than a bosonic reservoir of the same
     rate.  calibrated=True folds that factor in (p_i proportional to
-    Gamma_i * (2 nbar_i + 1)), which makes the mixture steady state coincide
+    Gamma_i * (nbar_i + 1/2)), which makes the mixture steady state coincide
     with the continuous weak-coupling steady state for rates Gamma_i.
     calibrated=False uses plain proportionality p_i = Gamma_i / sum(Gamma);
     with reservoirs at different temperatures that weighting over-counts the
@@ -197,10 +236,23 @@ def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated:
         raise ValueError("rates and temperatures must have matching shapes")
     if np.any(rates <= 0):
         raise ValueError("rates must be positive")
-    weights = rates.copy()
-    if calibrated:
-        weights *= np.array([2.0 * thermal_occupation(omega, t) + 1.0 for t in temperatures])
-    return tuple(weights / weights.sum())
+    temperatures = temperatures.tolist()  # Python floats: their overflows are not numpy warnings
+    # Gamma (nbar + 1/2) is Gamma (2 nbar + 1) halved, exactly, so it gives
+    # the same probabilities, and it overflows only for baths twice as hot
+    factors = [thermal_occupation(omega, t) + 0.5 if calibrated else 1.0 for t in temperatures]
+    with np.errstate(over="ignore"):
+        weights = rates * factors
+        total = weights.sum()
+    if not total < math.inf:
+        # some weight or their sum overflows: weigh by logarithms relative to
+        # the largest, with nbar + 1/2 = T / omega where nbar overflows
+        logs = np.log(rates) + [
+            math.log(t) - math.log(omega) if math.isinf(f) else math.log(f)
+            for t, f in zip(temperatures, factors)
+        ]
+        weights = np.exp(logs - logs.max())
+        total = weights.sum()
+    return tuple(weights / total)
 
 
 def mixture_config(

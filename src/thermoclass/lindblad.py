@@ -67,7 +67,8 @@ def make_config(temperatures, rates, omega: float = 1.0) -> SystemConfig:
 
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean occupation 1/(exp(omega/T) - 1) of a mode at temperature T; 0 at
-    T=0 and wherever exp(omega/T) overflows."""
+    T=0 and wherever exp(omega/T) overflows, inf wherever omega/T underflows
+    to 0."""
     if omega <= 0:
         raise ValueError(f"mode frequency must be positive, got {omega}")
     if temperature < 0:
@@ -78,6 +79,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
         return 1.0 / math.expm1(omega / temperature)
     except OverflowError:
         return 0.0
+    except ZeroDivisionError:
+        return math.inf
 
 
 def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -87,17 +90,27 @@ def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
 
 
-def _apply_generator(config: SystemConfig, rho: np.ndarray) -> np.ndarray:
+def _apply_generator(config: SystemConfig, rho: np.ndarray, dissipators=None) -> np.ndarray:
     """Linear action of the full generator on an arbitrary 2x2 matrix, or on
-    each matrix of a (..., 2, 2) stack."""
+    each matrix of a (..., 2, 2) stack; `dissipators` may hold the
+    (D[sigma_-] rho, D[sigma_+] rho) pair when it is known already."""
     h = 0.5 * config.omega_s * qmat.pauli("z")
     out = -1j * (h @ rho - rho @ h)
-    lower = qmat.pauli("minus")
-    raise_ = qmat.pauli("plus")
+    down, up = dissipators or _dissipators(rho)
     for temperature, rate in zip(config.temperatures, config.rates):
         n = thermal_occupation(config.omega_s, temperature)
-        out += rate * ((n + 1.0) * _dissipator(lower, rho) + n * _dissipator(raise_, rho))
+        out += rate * ((n + 1.0) * down + n * up)
     return out
+
+
+def _dissipators(rho: np.ndarray) -> tuple:
+    """D[sigma_-] rho and D[sigma_+] rho, which every bath scales by its own
+    emission and absorption rates."""
+    return _dissipator(qmat.pauli("minus"), rho), _dissipator(qmat.pauli("plus"), rho)
+
+
+# the _dissipators of channel.BASIS, which every real_generator call reuses
+_BASIS_DISSIPATORS = _dissipators(channel.BASIS)
 
 
 def lindblad_rhs(config: SystemConfig, rho: np.ndarray) -> np.ndarray:
@@ -115,7 +128,7 @@ def real_generator(config: SystemConfig) -> np.ndarray:
     coordinate basis variations, all four in one stacked call, so it is the
     same linear map as lindblad_rhs by construction.
     """
-    return channel.to_coords(_apply_generator(config, channel.BASIS)).T.copy()
+    return channel.to_coords(_apply_generator(config, channel.BASIS, _BASIS_DISSIPATORS)).T.copy()
 
 
 def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:

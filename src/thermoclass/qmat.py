@@ -45,8 +45,10 @@ def gibbs_state(energies, beta: float) -> np.ndarray:
     if math.isinf(beta):
         weights = (energies == energies.min()).astype(float)
     else:
-        # shift by the minimum before exponentiating to avoid overflow
-        weights = np.exp(-beta * (energies - energies.min()))
+        # shift by the minimum before exponentiating to avoid overflow; a
+        # beta * E beyond the float range is -inf, and its weight 0
+        with np.errstate(over="ignore"):
+            weights = np.exp(-beta * (energies - energies.min()))
     rho = np.diag(weights / weights.sum()).astype(complex)
     validate_density_matrix(rho, "gibbs_state output")
     return rho

@@ -1,8 +1,9 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoclass import channel, collisions, lindblad, qmat
@@ -68,8 +69,13 @@ _strides = st.integers(1, 40)
 
 
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3), n=st.integers(1, 150),
-       record_every=_strides, check_every=_strides, tol=st.one_of(st.none(), st.floats(1e-6, 1e-2)))
+@given(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3), n=st.integers(1, 300),
+       record_every=st.one_of(st.integers(1, 3), _strides), check_every=_strides,
+       tol=st.one_of(st.none(), st.floats(1e-6, 1e-2)))
+# records past several doublings of the record buffer, without and with
+# early stop (the rows stop at steps 183 and 180)
+@example(seed=1, batch=2, n=300, record_every=1, check_every=1, tol=None)
+@example(seed=1, batch=2, n=300, record_every=1, check_every=3, tol=1e-6)
 def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check_every, tol):
     # contractions 0.9 Q, Q orthogonal, so that the moves shrink and a drawn
     # tolerance stops each row at some check of its own
@@ -85,6 +91,19 @@ def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check
     for j in range(batch):
         alone = step_by_step(y0[j], [step[j]] * n, record_every, check_every, row_settled)
         assert_row_matches_alone(marks, records[:, j], ends if tol is None else ends[j], alone)
+
+
+def test_early_stop_far_below_the_step_cap_allocates_for_its_records():
+    # the cap is 2e13 steps; a buffer sized from it would take terabytes
+    config = lindblad.make_config((3.0, 1.0), (0.1, 0.05))
+    tracemalloc.start()
+    try:
+        traj = lindblad.evolve(config, qmat.ground_state(), t_end=1e12, dt=0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.tolist() == [float(t) for t in range(31)]
+    assert peak < 1e6
 
 
 _config = st.lists(st.tuples(st.floats(0.5, 5.0), st.floats(0.01, 0.1)), min_size=1, max_size=3)

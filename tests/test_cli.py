@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from csvfile import read_csv
 
@@ -180,6 +182,39 @@ def test_thermalize_rk4_guards_exit_3_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", [
+    "temperatures = 1e308\ngammas = 0.1\n",
+    "temperatures = 1e308, 1e308, 0\ngammas = 10, 10, 1\n",
+    "frequency = 0.001\ncoupling = 0.0001\ntemperatures = 1e308, 1\ngammas = 0.1, 0.1\n",
+    "frequency = 4\ncoupling = 0.1\ntemperatures = 1e-308\ngammas = 1\n",
+])
+def test_collide_with_an_extreme_reservoir_temperature_runs(tmp_path, capsys, text):
+    # 2 nbar + 1, Gamma (nbar + 1/2), their sum or nbar itself overflows, or
+    # the ancilla's Boltzmann factor underflows
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run(["collide", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    table = read_csv(out)
+    hottest = max(float(t) for t in table.metadata["temperatures"].split(","))
+    assert all(0.0 <= t <= hottest for t in table.column("temperature"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_thermalize_occupation_beyond_the_float_range_exits_3(tmp_path, capsys):
+    # omega / T underflows to 0, so nbar = 1 / expm1(0) is beyond any float
+    cfg = tmp_path / "guard.cfg"
+    cfg.write_text("omega = 1e-300\ntemperatures = 1e300, 1\nrate_pairs = 1e-302 1e-302\n")
+    out = tmp_path / "curves.csv"
+    assert run(["thermalize", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: guard: bath 0 temperature 1e+300 gives a non-finite thermal occupation")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(capsys):
     assert run(["steady", "--config", "/nonexistent/path.cfg"]) == 2
     capsys.readouterr()
@@ -344,6 +379,28 @@ def test_verify_writes_parseable_results_csv(tmp_path, capsys):
     assert table.columns == ["criterion", "name", "passed", "details"]
     assert table.rows[0][2] == "true"
     capsys.readouterr()
+
+
+# `thermoclass verify` at the commit that batched the collision criteria,
+# elapsed seconds masked
+VERIFY_LINES = """\
+[1/8] ode-vs-analytic steady state: PASS (100 configs, max trace distance 2.85e-10, <s> s)
+[2/8] relaxation-curve asymptotes: PASS (finals 2.013636, 2.343694, 1.681284; max err 4.33e-10; equal-rate vs mean 0.68%)
+[3/8] rate-sweep endpoints/monotonicity/linearity: PASS (endpoint err 0.0e+00, monotone=True, chord deviation 0.01467 <= 0.0147)
+[4/8] collision homogenization: PASS (T=0.5: 1912 collisions, T=1.0: 2237 collisions, T=2.0: 2373 collisions, \
+T=5.0: 2443 collisions; <s> s)
+[5/8] collision-vs-continuous cross-check: PASS (max rel err 1.72e-08 (calibrated weights; plain rate weighting \
+would deviate up to 43%))
+[6/8] linear separability of labeled instances: PASS (20 points (2 labels), zero training error: True; XOR refused: True)
+[7/8] hardware timing budget: PASS (total=10 us over 2000 collisions (5 ns each), feasible (T1=20 us); \
+100x faster than a 1 ms classical baseline)
+[8/8] structural property sweep: PASS (residual 1.2e-16, bracketing, rescaling, composition, determinism)
+"""
+
+
+def test_verify_lines_match_the_reference_text(capsys):
+    assert run(["verify"]) == 0
+    assert re.sub(r"\d+\.\d s\)$", "<s> s)", capsys.readouterr().out, flags=re.M) == VERIFY_LINES
 
 
 def test_help_screens_render(capsys):

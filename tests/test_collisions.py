@@ -13,6 +13,7 @@ from thermoclass.collisions import (
     mixture_config,
     reservoir_probabilities,
     run_collisions,
+    run_collisions_many,
     single_collision,
 )
 from thermoclass.errors import GuardViolation
@@ -268,6 +269,78 @@ def test_plain_weights_reach_their_own_mean_excitation():
     assert abs(traj.final_temperature - predicted) < 1e-6
     analytic = lindblad.steady_temperature(lindblad.make_config(temps, rates))
     assert abs(traj.final_temperature - analytic) / analytic > 0.1
+
+
+_row = st.tuples(
+    st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.05, 1.0)), min_size=1, max_size=3),
+    st.floats(1e-3, 0.099),
+    st.floats(0.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(_row, min_size=1, max_size=4), schedule=st.sampled_from(SCHEDULES),
+       shared=st.booleans(), n=st.integers(1, 300), stride=st.sampled_from(["1", "7", "n", "1e20"]))
+def test_run_collisions_many_rows_equal_lone_runs(rows, schedule, shared, n, stride):
+    # rows with their own reservoir counts, couplings, durations and seeds
+    record_every = {"1": 1, "7": 7, "n": n, "1e20": 10**20}[stride]
+    configs = []
+    for reservoirs, coupling, tau, seed in rows:
+        weights = np.array([w for _, w in reservoirs])
+        probs = tuple(weights / weights.sum())
+        configs.append(CollisionConfig(1.0, coupling, tau, tuple(zip([t for t, _ in reservoirs], probs)),
+                                       schedule=schedule, seed=seed))
+    rng = np.random.default_rng(rows[0][3])
+    rho0s = [qmat.random_density_matrix(rng) for _ in configs]
+    batch = run_collisions_many(rho0s[0] if shared else np.stack(rho0s), configs, n, record_every)
+    assert len(batch) == len(configs)
+    for j, (config, traj) in enumerate(zip(configs, batch)):
+        alone = run_collisions(rho0s[0 if shared else j], config, n, record_every)
+        np.testing.assert_array_equal(traj.times, alone.times)
+        np.testing.assert_array_equal(traj.coords, alone.coords)
+
+
+def test_run_collisions_many_validation():
+    mixture = basic_config()
+    sampled = CollisionConfig(1.0, 0.05, 1.0, ((3.0, 1.0),), schedule="sampled", seed=1)
+    with pytest.raises(ValueError, match="one schedule"):
+        run_collisions_many(qmat.ground_state(), [mixture, sampled], 10)
+    with pytest.raises(ValueError, match="at least one configuration"):
+        run_collisions_many(qmat.ground_state(), [], 10)
+    with pytest.raises(ValueError, match="2 of them"):
+        run_collisions_many(np.stack([qmat.ground_state()] * 3), [mixture, mixture], 10)
+    with pytest.raises(ValueError, match="record_every"):
+        run_collisions_many(qmat.ground_state(), [mixture], 10, record_every=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(reservoirs=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(1e-6, 1e6)), min_size=1, max_size=4),
+       omega=st.floats(0.01, 100.0))
+def test_calibrated_probabilities_keep_the_bits_of_the_2nbar_plus_1_weights(reservoirs, omega):
+    temps = [t for t, _ in reservoirs]
+    rates = np.array([g for _, g in reservoirs])
+    weights = rates * np.array([2.0 * lindblad.thermal_occupation(omega, t) + 1.0 for t in temps])
+    assert reservoir_probabilities(rates, temps, omega) == tuple(weights / weights.sum())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rates, temps, omega", [
+    ((0.1,), (1e308,), 1.0),  # 2 nbar + 1 overflows, nbar + 1/2 does not
+    ((10.0, 10.0, 1.0), (1e308, 1e308, 0.0), 1.0),  # Gamma (nbar + 1/2) overflows
+    ((1e308, 1e308), (1.0, 1.0), 1.0),  # only their sum overflows
+    ((0.1, 0.1), (1e308, 1.0), 1e-3),  # nbar itself overflows
+    ((0.1, 0.1), (1e300, 1.0), 1e-300),  # omega / T underflows to 0
+])
+def test_probabilities_of_very_hot_or_fast_reservoirs_stay_finite(rates, temps, omega):
+    probs = reservoir_probabilities(rates, temps, omega)
+    assert all(0.0 < p <= 1.0 for p in probs)
+    assert sum(probs) == pytest.approx(1.0, abs=1e-15)
+    # the baths of the largest Gamma T share the weight equally; the others are negligible
+    hottest = max(g * t for g, t in zip(rates, temps))
+    for p, g, t in zip(probs, rates, temps):
+        if g * t == hottest:
+            assert p == pytest.approx(1.0 / sum(g * t == hottest for g, t in zip(rates, temps)), rel=1e-12)
 
 
 def test_reservoir_probabilities_validation():

@@ -16,7 +16,7 @@ HOMES = {
                    "Perceptron", "classify", "gamma_sweep", "generate_instances",
                    "instances_table", "perceptron_fit", "thermalization_curves"),
     "channel": ("Trajectory", "boltzmann_temperature"),
-    "collisions": ("CollisionConfig", "run_collisions", "single_collision"),
+    "collisions": ("CollisionConfig", "run_collisions", "run_collisions_many", "single_collision"),
     "errors": ("ConfigError", "GuardViolation"),
     "lindblad": ("SystemConfig", "evolve", "evolve_many", "lindblad_rhs", "make_config",
                  "mean_bath_temperature", "steady_population_ratio", "steady_state",

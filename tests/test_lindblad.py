@@ -48,6 +48,9 @@ def test_thermal_occupation_values():
     np.testing.assert_allclose(thermal_occupation(1.0, 3.0), 2.527726, atol=5e-7)
     # exp(omega/T) overflows a double below T ~ omega/710
     assert thermal_occupation(1.0, 0.001) == 0.0
+    # omega/T underflows: 1/expm1 overflows, at 0 as below it
+    assert thermal_occupation(1e-10, 1e308) == math.inf
+    assert thermal_occupation(1e-300, 1e300) == math.inf
 
 
 def test_thermal_occupation_rejects_bad_input():
@@ -139,6 +142,24 @@ def test_real_generator_matches_per_basis_build(baths, omega):
     with np.errstate(invalid="ignore"):
         per_basis = channel.matrix_of(lambda rho: lindblad._apply_generator(config, rho))
         assert lindblad.real_generator(config).tobytes() == per_basis.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(baths=st.lists(st.tuples(_generator_temperature, st.floats(1e-6, 0.2)), min_size=1, max_size=5),
+       omega=st.sampled_from((1.0, 0.3, 7.0)))
+def test_real_generator_matches_dissipators_built_per_bath(baths, omega):
+    # the two basis dissipators are computed once, at import; the generator
+    # is bit for bit the one that recomputes them for every bath
+    config = make_config([t for t, _ in baths], [g * omega for _, g in baths], omega)
+    basis = channel.BASIS
+    h = 0.5 * omega * qmat.pauli("z")
+    out = -1j * (h @ basis - basis @ h)
+    with np.errstate(invalid="ignore"):
+        for temperature, rate in zip(config.temperatures, config.rates):
+            n = thermal_occupation(omega, temperature)
+            out += rate * ((n + 1.0) * lindblad._dissipator(qmat.pauli("minus"), basis)
+                           + n * lindblad._dissipator(qmat.pauli("plus"), basis))
+        assert lindblad.real_generator(config).tobytes() == channel.to_coords(out).T.copy().tobytes()
 
 
 def test_evolve_reference_asymptotes():
