@@ -69,8 +69,8 @@ def check_relaxation_curves() -> CriterionResult:
     rate_pairs = ((0.1, 0.1), (0.1, 0.05), (0.05, 0.1))
     configs = [lindblad.make_config((3.0, 1.0), pair) for pair in rate_pairs]
     table = classifier.thermalization_curves(configs, t_end=2000.0, dt=0.05)
-    finals = [table.rows[-1][i + 1] for i in range(3)]
-    starts = [table.rows[0][i + 1] for i in range(3)]
+    finals = table.rows[-1, 1:].tolist()
+    starts = table.rows[0, 1:].tolist()
     errs = [abs(f - ref) for f, ref in zip(finals, REFERENCE_ASYMPTOTES)]
     mean_dev = abs(finals[0] - 2.0) / 2.0
     ok = all(e <= 1e-3 for e in errs) and mean_dev <= 0.01 and all(s == 0.0 for s in starts)

@@ -108,11 +108,10 @@ def thermalization_curves(
 ) -> ResultTable:
     """Integrate all configurations together from the ground state (zero
     temperature) on a shared time grid and tabulate the effective
-    temperature curves."""
+    temperature curves, one float64 row array with the time in column 0."""
     trajectories = lindblad.evolve_many(configs, qmat.ground_state(), t_end, dt, record_every=sample_every)
-    temperatures = np.column_stack([traj.temperatures for traj in trajectories])
     columns = ["time"] + [f"T_S_curve{i + 1}" for i in range(len(trajectories))]
-    rows = [(t, *row) for t, row in zip(trajectories[0].times.tolist(), temperatures.tolist())]
+    rows = np.column_stack([trajectories[0].times, *(traj.temperatures for traj in trajectories)])
     return ResultTable(columns=columns, rows=rows)
 
 

@@ -338,8 +338,7 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
     from . import svgplot
 
     if experiment == "thermalize":
-        times, *series = zip(*table.rows)
-        return svgplot.line_plot(times, series, table.columns[1:],
+        return svgplot.line_plot(table.rows[:, 0], table.rows[:, 1:].T, table.columns[1:],
                                  title="relaxation to the steady temperature",
                                  xlabel="time (1/omega)", ylabel="T_S")
     if experiment == "sweep-gamma":

@@ -144,14 +144,19 @@ def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> n
         ratio = total / up
         hot = np.isinf(up)
         if hot.any():
-            # sum Gamma nbar overflows: divide omega by the rate-weighted mean
-            # of omega nbar = T x / expm1(x), x = omega / T, which stays <= T
-            # where nbar itself overflows
-            temps = temperatures[hot]
-            x = omega / temps
-            energy = np.where(temps > 0, temps * (x / np.expm1(x)), 0.0)
-            ratio[hot] = omega / sum((rates[hot] / total[hot, None] * energy).T)
+            # sum Gamma nbar overflows: divide omega by the mean energy instead
+            ratio[hot] = omega / _mean_energies(temperatures[hot], rates[hot], omega)
     return ratio
+
+
+def _mean_energies(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:
+    """Per-row rate-weighted mean of omega nbar = T x / expm1(x), x = omega / T,
+    which stays finite and <= T where nbar itself overflows: T where x
+    underflows to 0, and 0 at T = 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = omega / temperatures
+        energy = np.where(temperatures > 0, temperatures * np.where(x > 0, x / np.expm1(x), 1.0), 0.0)
+        return sum((rates / sum(rates.T)[:, None] * energy).T)
 
 
 def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
@@ -176,10 +181,18 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     active = rates > 0
     if not active.any(axis=1).all():
         raise ValueError("every reservoir set needs a positive rate")
+    ratio = _rate_ratios(temps, rates, omega)
     with np.errstate(divide="ignore", over="ignore"):
         # the population ratio is 1 + total/up; log1p keeps baths so hot that
         # it rounds to 1 finite, and all baths at T = 0 give omega/inf = 0
-        t_ss = omega / np.log1p(_rate_ratios(temps, rates, omega))
+        log_ratio = np.log1p(ratio)
+        t_ss = omega / log_ratio
+    # where log1p(ratio) rounds to the ratio, omega / ratio is the mean energy
+    # to within an ulp; taken as such, it stays finite where the ratio itself
+    # underflows to 0
+    flat = log_ratio == ratio
+    if flat.any():
+        t_ss[flat] = _mean_energies(temps[flat], rates[flat], omega)
     coldest = np.where(active, temps, math.inf).min(axis=1)
     hottest = np.where(active, temps, -math.inf).max(axis=1)
     # the steady temperature lies between the active baths; only roundoff

@@ -1,17 +1,19 @@
 """Minimal static SVG rendering: axes, ticks, polylines and scatter markers.
 Figures are derived artifacts here; the CSV tables stay the source of truth.
 
-Coordinates are mapped to pixels as numpy arrays and written through one
-printf-style template per marker, or per distinct polyline coordinate, so a
-plot costs a few array operations per series rather than Python calls per
-point.
+Coordinates are mapped to pixels as numpy arrays. A scatter plot writes each
+marker through one printf-style template. A line plot formats the shared x
+pixels, and each series' y pixels, once per distinct value with
+tables.format_array (converged curves repeat a few values many times), and
+builds each polyline by concatenating object arrays of these texts. So a plot
+costs a few array operations per series rather than Python calls per point.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
+
+from .tables import format_array
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 56
@@ -92,16 +94,6 @@ def _legend(i, label, color) -> str:
             f'text-anchor="end" fill="{color}">{label}</text>')
 
 
-def _texts(pixels: np.ndarray):
-    """The "%.1f" texts of the pixel coordinates, in order, each formatted
-    once per distinct value (converged curves repeat a few values many
-    times). Values are told apart by their bits, so that -0.0 and 0.0 keep
-    their own texts."""
-    distinct, where = np.unique(pixels.view(np.int64), return_inverse=True)
-    texts = list(map("%.1f".__mod__, distinct.view(np.float64).tolist()))
-    return map(texts.__getitem__, where.tolist())
-
-
 def line_plot(xs, series, labels, title="", xlabel="", ylabel="") -> str:
     """Polyline plot of one or more y-series, each with one y per x, against
     a shared x axis; points whose y is not finite are left out."""
@@ -109,12 +101,11 @@ def line_plot(xs, series, labels, title="", xlabel="", ylabel="") -> str:
     series = [np.asarray(ys, dtype=float) for ys in series]
     frame = _Frame(_axis_range(xs), _axis_range(*series))
     parts = _chrome(frame, title, xlabel, ylabel)
-    x_texts = list(map("%.1f,".__mod__, frame.px(xs).tolist()))
+    x_texts = format_array(frame.px(xs), "%.1f,")
     for i, (ys, label) in enumerate(zip(series, labels)):
         color = PALETTE[i % len(PALETTE)]
         keep = np.isfinite(ys)
-        x_kept = itertools.compress(x_texts, keep.tolist())
-        points = " ".join(map(str.__add__, x_kept, _texts(frame.py(ys[keep]))))
+        points = " ".join((x_texts[keep] + format_array(frame.py(ys[keep]), "%.1f")).tolist())
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_legend(i, label, color))
     parts.append("</svg>")

@@ -70,7 +70,7 @@ def test_thermalization_curves_table():
     ]
     table = thermalization_curves(configs, t_end=300.0, dt=0.05)
     assert table.columns == ["time", "T_S_curve1", "T_S_curve2", "T_S_curve3"]
-    assert table.rows[0][1:] == (0.0, 0.0, 0.0)
+    assert table.rows[0, 1:].tolist() == [0.0, 0.0, 0.0]
     finals = table.rows[-1]
     assert finals[1] == pytest.approx(2.0136362, abs=1e-3)
     assert finals[2] == pytest.approx(2.3436942, abs=1e-3)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -147,6 +148,21 @@ def test_very_hot_unequal_baths_stay_finite(tmp_path, capsys):
     assert "inf" not in text and "nan" not in text
     table = read_csv(out)
     assert all(0.5 <= t < 1e308 for t in table.column("steady_temperature"))
+
+
+@pytest.mark.filterwarnings("error")
+def test_steady_with_omega_over_t_underflowing_stays_finite(tmp_path, capsys):
+    # omega / T underflows to 0, where x / expm1(x) is 0/0 (its limit is 1),
+    # and omega over the mean energy underflows too; T_ss is then the
+    # rate-weighted mean of the temperatures
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("omega = 1e-300\ntemperatures = 1e300, 5e299\ngammas = 1e-301, 1e-301\n")
+    out = tmp_path / "steady.csv"
+    assert run(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = read_csv(out)
+    assert all(math.isfinite(cell) for cell in table.rows[0])
+    assert table.column("steady_temperature")[0] == pytest.approx(7.5e299, rel=1e-12, abs=0)
 
 
 @pytest.mark.filterwarnings("error")

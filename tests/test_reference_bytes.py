@@ -1,6 +1,7 @@
 """The CLI writes the exact CSV bytes that the benchmark's reference hashes
 record: the `classify` workload at seeds 0-9 and `dynamics` at seeds 0-1,
-each step regenerated through `cli.main` and compared by SHA-256."""
+each step regenerated through `cli.main` and compared by SHA-256. The SVG of
+the `dynamics` workload's `thermalize` step is pinned here as well."""
 
 import hashlib
 import importlib.util
@@ -25,6 +26,11 @@ def _workloads():
 
 workloads = _workloads()
 REFERENCE = json.loads((BENCH / "reference_hashes.json").read_text(encoding="utf-8"))["hashes"]
+# the SVG outputs, which reference_hashes.json does not record
+SVG_REFERENCE = {"dynamics": {
+    "0": {"thermalize": "82626977f282cdc1bef22f023b17802611b293b38371e8a51ff4b634910d1a76"},
+    "1": {"thermalize": "103a29a799b64a57ac7c6c6523e03ccc2ab61d33f63ac87c94186ef50a6bd7c6"},
+}}
 
 
 @pytest.mark.parametrize("workload, seed", [
@@ -38,3 +44,6 @@ def test_outputs_match_the_reference_hashes(tmp_path, workload, seed):
         assert cli.main(step.argv(str(tmp_path))) == 0, step.name
         digest = hashlib.sha256(pathlib.Path(step.out_path(str(tmp_path))).read_bytes()).hexdigest()
         assert digest == REFERENCE[workload][str(seed)][step.name], step.name
+        if step.svg:
+            digest = hashlib.sha256(pathlib.Path(step.svg_path(str(tmp_path))).read_bytes()).hexdigest()
+            assert digest == SVG_REFERENCE[workload][str(seed)][step.name], step.name

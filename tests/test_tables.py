@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -46,6 +47,21 @@ def test_round_trip(tmp_path):
     path2 = tmp_path / "again.csv"
     write_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_row_array_shape_and_dtype_enforced():
+    for rows in (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 1)), np.zeros((2, 2), dtype=np.float32),
+                 np.zeros((2, 2), dtype=np.int64)):
+        with pytest.raises(ValueError, match="float64 of shape"):
+            ResultTable(columns=["a", "b"], rows=rows)
+
+
+def test_column_of_a_row_array_is_python_floats():
+    table = ResultTable(columns=["t", "y"], rows=np.array([[0.0, -0.0], [1.5, math.inf]]))
+    for name, expected in (("t", [0.0, 1.5]), ("y", [-0.0, math.inf])):
+        column = table.column(name)
+        assert column == expected and all(type(v) is float for v in column)
+    assert math.copysign(1.0, table.column("y")[0]) == -1.0
 
 
 def test_column_lookup():
@@ -115,3 +131,30 @@ def test_render_csv_corner_tables():
         ResultTable(columns=["s"], rows=[(np.str_("a\x00"),)]),  # numpy's str() drops the NUL
     ):
         assert render_csv(table) == render_csv_per_cell(table)
+
+
+# few distinct values per table, so that most cells repeat one; signed zeros,
+# infinities, NaNs of either sign and subnormals among them
+_array_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, 1.0, 2.0136362]),
+)
+
+
+@st.composite
+def _row_arrays(draw):
+    n, k = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+    pool = draw(st.lists(_array_cells, min_size=1, max_size=4))
+    cells = draw(st.lists(st.one_of(st.sampled_from(pool), _array_cells), min_size=n * k, max_size=n * k))
+    block = np.array(cells, dtype=np.float64).reshape(n, k)
+    return np.asfortranarray(block) if draw(st.booleans()) else block
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=_row_arrays())
+def test_render_csv_of_a_row_array_matches_its_tuples(block):
+    columns = [f"c{j}" for j in range(block.shape[1])]
+    as_tuples = ResultTable(columns=columns, rows=list(map(tuple, block.tolist())), metadata={"seed": "1"})
+    as_array = ResultTable(columns=columns, rows=block, metadata={"seed": "1"})
+    assert render_csv(as_array) == render_csv(as_tuples)
