@@ -60,69 +60,122 @@ def trace_distances(dy: np.ndarray) -> np.ndarray:
 
 # rows of a fresh record buffer of propagate
 _FIRST_RECORDS = 16
+# blocks that propagate multiplies before it records and tests them
+_CHUNK = 64
 
 
-def _record(records: np.ndarray, m: int, y) -> np.ndarray:
-    """Write y as record m of the buffer records, whose first m rows are
-    filled, into a buffer twice as long if records is full; returns the
-    buffer written to."""
-    if m == len(records):
-        grown = np.empty((2 * m, *records.shape[1:]))
-        grown[:m] = records
-        records = grown
-    records[m] = y
-    return records
+def _reserve(records: np.ndarray, size: int) -> np.ndarray:
+    """records, or a copy of it doubled in length as often as it takes to
+    hold size rows."""
+    length = len(records)
+    if size <= length:
+        return records
+    while length < size:
+        length *= 2
+    grown = np.empty((length, *records.shape[1:]))
+    grown[: len(records)] = records
+    return grown
 
 
-def propagate(y, blocks, record_every: int, check_every: int = 1, settled=None) -> tuple:
+def propagate(y, blocks, record_every: int, check_every: int = 1, stop_bounds=None) -> tuple:
     """Apply the blocks of the iterable `blocks`, (count, matrix) pairs, to y
     one after the other; each matrix advances y by `count` steps at once.
 
     y and each matrix may carry leading batch axes (y of shape (b, 4, 1) with
     matrices of shape (b, 4, 4) steps b states at once). Records the start,
-    every record_every-th state and the last one. With `settled`, y has one
-    batch axis, and every check_every-th step calls settled(y - y_then),
-    y_then being the states check_every steps earlier; it returns a mask
-    over the batch axis. Each row it marks stops there: later blocks leave
-    it out, so later records repeat its last state, and the loop ends once
-    every row has stopped. Records and checks are made only where a block
-    ends, so every multiple of record_every and check_every must be a block
-    end (see repeated).
+    every record_every-th state and the last one. `stop_bounds`, if given,
+    is an array of one bound per row of a y of shape (b, 4, 1): every
+    check_every-th step, a row stops once the trace distance between its
+    state and its state check_every steps earlier is below its bound. Later
+    records repeat a stopped row's state, and the run ends at the step where
+    the last row stops. Records and checks are made only where a block ends,
+    so every multiple of record_every and check_every must be a block end
+    (see repeated).
+
+    The loop takes up to _CHUNK blocks at a time and only multiplies them,
+    into a chunk buffer, over the rows still stepping; the live rows of a
+    matrix are gathered once per matrix object and live set, not once per
+    block. Records and stop tests then run over the whole chunk at once. A
+    row that stops inside a chunk has its later states there overwritten
+    with its state at the stop. Without stop_bounds, a chunk whose blocks
+    all end on records, but perhaps its last, is multiplied straight into
+    the record buffer.
+
     Returns the step counts of the records, the records stacked on a new
     first axis, and the step count at which each row stopped (with
-    `settled`) or the last step count (without). The records go into one
+    stop_bounds) or the last step count (without). The records go into one
     array that doubles when full, so its size follows the records made, not
     the step count, which early stop may leave far from reached.
     """
+    y = np.array(y, dtype=float)  # the state of every row after the blocks so far
     marks = [0]
-    records = np.empty((_FIRST_RECORDS, *np.shape(y)))
+    records = np.empty((_FIRST_RECORDS, *y.shape))
     records[0] = y
-    y_check = y
-    live = None  # the rows still stepping once some have stopped
-    stopped = None if settled is None else np.full(len(y), -1)
+    stopping = stop_bounds is not None
+    stopped = np.full(len(y), -1) if stopping else None
+    live = slice(None)  # the rows still stepping: all, until one stops
+    n_live = len(y)
+    bounds = stop_bounds
+    y_check = y.copy()  # the live rows at the last check
+    buf = None
+    source = gathered = None
     i = 0
-    for count, block in blocks:
-        if live is None:
-            y = block @ y
+    blocks = iter(blocks)
+    while chunk := list(itertools.islice(blocks, _CHUNK)):
+        positions = list(itertools.accumulate([count for count, _ in chunk], initial=i))[1:]
+        on_record = [p % record_every == 0 for p in positions]
+        direct = not stopping and all(on_record[:-1])
+        if direct:
+            records = _reserve(records, len(marks) + len(chunk))
+            states = records[len(marks):]
         else:
-            y = y.copy()
-            y[live] = block[live] @ y[live]
-        i += count
-        if i % record_every == 0:
-            records = _record(records, len(marks), y)
-            marks.append(i)
-        if settled is not None and i % check_every == 0:
-            now = settled(y - y_check) & (stopped < 0)
-            if now.any():
-                stopped[now] = i
-                live = np.flatnonzero(stopped < 0)
-                if not len(live):
-                    break
-            y_check = y
+            if buf is None:
+                buf = np.empty((_CHUNK, *y.shape))
+            states = buf[:, :n_live]
+        state = y[live]
+        for k, (_, block) in enumerate(chunk):
+            if block is not source:
+                source, gathered = block, block[live]
+            state = np.matmul(gathered, state, out=states[k])
+        end = len(chunk)
+        hit = np.zeros(n_live, dtype=bool)  # the rows that stop in this chunk
+        if stopping:
+            checks = [k for k, p in enumerate(positions) if p % check_every == 0]
+            if checks:
+                moves = np.diff(np.concatenate([y_check[None], states[checks]]), axis=0)
+                hits = trace_distances(moves[..., 0]) < bounds
+                hit = hits.any(axis=0)
+                first = np.asarray(checks)[hits.argmax(axis=0)]
+                for row in np.flatnonzero(hit):
+                    states[first[row] + 1 : end, row] = states[first[row], row]
+                rows = np.arange(len(y))[live]
+                stopped[rows[hit]] = np.asarray(positions)[first[hit]]
+                if hit.all():
+                    end = int(first.max()) + 1
+                y_check = states[checks[-1]].copy()
+        i = positions[end - 1]
+        y[live] = states[end - 1]
+        kept = [k for k in range(end) if on_record[k]]
+        if not direct and kept:
+            m = len(marks)
+            records = _reserve(records, m + len(kept))
+            if n_live < len(y):
+                records[m : m + len(kept)] = y
+            records[m : m + len(kept), live] = states[kept]
+        marks += [positions[k] for k in kept]
+        if hit.any():
+            if hit.all():
+                break
+            live = rows[~hit]
+            n_live = len(live)
+            bounds = bounds[~hit]
+            y_check = y_check[~hit]
+            source = None
     if marks[-1] != i:
-        records = _record(records, len(marks), y)
+        records = _reserve(records, len(marks) + 1)
+        records[len(marks)] = y
         marks.append(i)
-    ends = i if settled is None else np.where(stopped < 0, i, stopped)
+    ends = np.where(stopped < 0, i, stopped) if stopping else i
     return np.asarray(marks), records[: len(marks)], ends
 
 

@@ -225,7 +225,7 @@ def _cmd_steady(config: RunConfig, args) -> ResultTable:
     ratio = lindblad.steady_population_ratio(system)
     t_ss = lindblad.steady_temperature(system)
     p_e = 0.0 if ratio == float("inf") else 1.0 / (1.0 + ratio)
-    print(f"T_S^ss = {t_ss:.6f}")
+    print(f"T_S^ss = {t_ss:.9g}")
     return ResultTable(
         columns=["p_excited", "p_ground", "population_ratio", "steady_temperature", "mean_bath_temperature"],
         rows=[(p_e, 1.0 - p_e, ratio, t_ss, lindblad.mean_bath_temperature(system))],

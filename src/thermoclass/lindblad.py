@@ -212,12 +212,18 @@ def steady_population_ratio(config: SystemConfig) -> float:
     return float(1.0 + ratio[0])
 
 
+def steady_populations(temperatures, rates, omega: float = 1.0) -> np.ndarray:
+    """Steady excited population p_e = 1 / (1 + p_g/p_e) of n reservoir sets
+    at once, from (n, k) temperatures and rates; a rate of 0 leaves that
+    bath out, and rows whose baths all sit at T = 0 give 0. Unlike
+    steady_temperatures it validates nothing."""
+    ratio = 1.0 + _rate_ratios(np.asarray(temperatures, dtype=float), np.asarray(rates, dtype=float), omega)
+    return 1.0 / (1.0 + ratio)
+
+
 def steady_state(config: SystemConfig) -> np.ndarray:
     """Diagonal steady state diag(p_e, p_g); coherences are fully damped."""
-    ratio = steady_population_ratio(config)
-    if math.isinf(ratio):
-        return qmat.ground_state()
-    p_e = 1.0 / (1.0 + ratio)
+    p_e = float(steady_populations([config.temperatures], [config.rates], config.omega_s)[0])
     return np.diag([p_e, 1.0 - p_e]).astype(complex)
 
 
@@ -337,19 +343,16 @@ def evolve_many(
     n_steps = int(round(t_end / dt))
     record_stride = max(1, int(round(record_every / dt)))
     check_stride = max(1, int(round(1.0 / dt)))
-    settled = None
+    bounds = None
     block = record_stride
     if stop_tol is not None:
         block = math.gcd(record_stride, check_stride)
         t_check = check_stride * dt
         bounds = np.array([-stop_tol * math.expm1(-_slowest_decay_rate(k) * t_check) for k in generators])
 
-        def settled(dy):
-            return channel.trace_distances(dy[..., 0]) < bounds
-
-    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1)).copy()
+    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
     marks, records, ends = channel.propagate(
-        y0, channel.repeated(step, n_steps, block), record_stride, check_stride, settled
+        y0, channel.repeated(step, n_steps, block), record_stride, check_stride, bounds
     )
     records = records[..., 0]
     traces = records[..., 0] + records[..., 1]

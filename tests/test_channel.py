@@ -24,14 +24,18 @@ def test_trace_distances_match_eigenvalue_form():
 
 @settings(max_examples=200, deadline=None)
 @given(dy=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+# the exact distance 2.5e-324 lies halfway between 0 and the least subnormal,
+# and rounds to 0: no float meets the bound there without the ulp(0) slack
+@example(dy=[0.0, 5e-324, 0.0, 0.0])
 def test_trace_distance_is_at_least_half_the_largest_coordinate(dy):
-    assert channel.trace_distances(np.array(dy)) * 2.0 * (1.0 + 1e-12) >= max(map(abs, dy))
+    assert (channel.trace_distances(np.array(dy)) + math.ulp(0.0)) * 2.0 * (1.0 + 1e-12) >= max(map(abs, dy))
 
 
-def step_by_step(y, steps, record_every, check_every=1, settled=None):
-    """Reference for channel.propagate on one state: one matrix per step,
-    recording the start, every record_every-th and the last state, and
-    checking every check_every-th step."""
+def step_by_step(y, steps, record_every, check_every=1, bound=None):
+    """Reference for channel.propagate on one (4, 1) state: one matrix per
+    step, recording the start, every record_every-th and the last state, and
+    with a bound stopping at the first check_every-th step that moved the
+    state by a trace distance below it."""
     marks, records = [0], [y]
     y_check = y
     i = 0
@@ -40,8 +44,8 @@ def step_by_step(y, steps, record_every, check_every=1, settled=None):
         if i % record_every == 0:
             marks.append(i)
             records.append(y)
-        if settled is not None and i % check_every == 0:
-            if settled(y - y_check):
+        if bound is not None and i % check_every == 0:
+            if channel.trace_distances((y - y_check)[:, 0]) < bound:
                 break
             y_check = y
     if marks[-1] != i:
@@ -73,24 +77,39 @@ _strides = st.integers(1, 40)
        record_every=st.one_of(st.integers(1, 3), _strides), check_every=_strides,
        tol=st.one_of(st.none(), st.floats(1e-6, 1e-2)))
 # records past several doublings of the record buffer, without and with
-# early stop (the rows stop at steps 183 and 180)
+# early stop; the first chunk of blocks alone writes more records than one
+# doubling of the buffer holds
 @example(seed=1, batch=2, n=300, record_every=1, check_every=1, tol=None)
 @example(seed=1, batch=2, n=300, record_every=1, check_every=3, tol=1e-6)
+# a last, shorter block that ends on no record
+@example(seed=1, batch=2, n=301, record_every=2, check_every=2, tol=None)
+# blocks that end on no record, without early stop
+@example(seed=1, batch=2, n=300, record_every=3, check_every=2, tol=None)
+# with chunks of 64 blocks: every row stops inside the second chunk (steps
+# 111, 100 and 88), which is cut at the last of them
+@example(seed=0, batch=3, n=300, record_every=1, check_every=1, tol=1e-3)
+# a row stops on the last block of a chunk (step 128), the others later
+@example(seed=0, batch=3, n=300, record_every=1, check_every=2, tol=1e-5)
+# one row stops at step 144, the other runs on through a last block of one step
+@example(seed=11, batch=2, n=145, record_every=4, check_every=2, tol=1e-6)
 def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check_every, tol):
     # contractions 0.9 Q, Q orthogonal, so that the moves shrink and a drawn
     # tolerance stops each row at some check of its own
     rng = np.random.default_rng(seed)
     step = np.stack([0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(batch)])
     y0 = rng.normal(size=(batch, 4, 1)) * rng.uniform(0.01, 100.0, size=(batch, 1, 1))
-    settled = None if tol is None else (lambda dy: np.abs(dy).max(axis=(1, 2)) < tol)
-    row_settled = None if tol is None else (lambda dy: bool(np.abs(dy).max() < tol))
-    block = record_every if tol is None else math.gcd(record_every, check_every)
+    bounds = None if tol is None else tol * rng.uniform(0.5, 2.0, batch)
+    # blocks of gcd(record_every, check_every) steps, so that without early
+    # stop some blocks end on no record, unless record_every divides check_every
+    block = math.gcd(record_every, check_every)
     marks, records, ends = channel.propagate(
-        y0, channel.repeated(step, n, block), record_every, check_every, settled
+        y0, channel.repeated(step, n, block), record_every, check_every, bounds
     )
     for j in range(batch):
-        alone = step_by_step(y0[j], [step[j]] * n, record_every, check_every, row_settled)
+        alone = step_by_step(y0[j], [step[j]] * n, record_every, check_every, None if tol is None else bounds[j])
         assert_row_matches_alone(marks, records[:, j], ends if tol is None else ends[j], alone)
+    # the run ends where its last row stops
+    assert marks[-1] == np.max(ends)
 
 
 def test_early_stop_far_below_the_step_cap_allocates_for_its_records():
@@ -129,15 +148,11 @@ def test_evolve_many_matches_step_by_step(seed, configs, shared, steps, record_s
         # each configuration stepped alone, one RK4 matrix per step
         generator = lindblad.real_generator(config)
         step = lindblad._rk4_step(generator, dt)
-        settled = None
+        bound = None
         if stop_tol is not None:
             bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_every * dt)
-
-            def settled(dy):
-                return bool(channel.trace_distances(dy[:, 0]) < bound)
-
         marks, records = step_by_step(channel.to_coords(rho0)[:, None], [step] * steps, record_steps,
-                                      check_every, settled)
+                                      check_every, bound)
         records = records[..., 0]
         np.testing.assert_array_equal(traj.times, marks * dt)
         expected = records / (records[:, 0] + records[:, 1])[:, None]

@@ -243,15 +243,19 @@ def test_evolve_many_rejects_mismatched_initial_states():
                                min_size=1, max_size=4), min_size=1, max_size=4),
        dt_share=st.floats(0.01, 1.0), steps=st.integers(1, 3000), record_steps=st.integers(1, 200),
        stop_tol=st.sampled_from((None, 1e-9)))
+# dt = 0.1 / fastest rounds to a dt with dt * fastest = 0.10000000000000002
+@example(seed=0, baths=[[(0.0, 0.14906805485262975)]], dt_share=1.0, steps=1, record_steps=1, stop_tol=None)
 def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, record_steps, stop_tol):
     # the generator is block diagonal with eigenvalues 0, -G and -G/2 +- i omega,
     # G = sum_i Gamma_i (2 nbar_i + 1): p_e relaxes to p_ss = sum_i Gamma_i nbar_i / G
     # at rate G, and the coherence decays at G/2 while it rotates at omega
     configs = [make_config([t for t, _ in b], [g for _, g in b]) for b in baths]
-    # any dt the guards accept
+    # any dt the guards accept, up to the largest one
     fastest = max(g * (thermal_occupation(1.0, t) + 1.0)
                   for config in configs for t, g in zip(config.temperatures, config.rates))
     dt = dt_share * min(lindblad.RK4_STABILITY_MAX / fastest, lindblad.RK4_ROTATION_MAX)
+    while dt * fastest > lindblad.RK4_STABILITY_MAX:
+        dt = math.nextafter(dt, 0.0)
     rng = np.random.default_rng(seed)
     rho0s = np.array([qmat.random_density_matrix(rng) for _ in configs])
     trajs = evolve_many(configs, rho0s, steps * dt, dt, record_steps * dt, stop_tol)
@@ -290,19 +294,15 @@ def test_slowest_decay_rate_matches_eigenvalues(baths, omega):
 
 def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
     """Reference for evolve's early stop: one configuration alone through
-    channel.propagate, with the per-row exact trace-distance test written
-    out. Returns the step marks and the raw (unnormalized) records."""
+    channel.propagate, with its stop bound written out. Returns the step
+    marks and the raw (unnormalized) records."""
     generator = lindblad.real_generator(config)
     step = lindblad._rk4_step(generator, dt)[None]
     record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
     bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
-
-    def settled(dy):
-        return channel.trace_distances(dy[..., 0]) < bound
-
     y0 = channel.to_coords(rho0)[None, :, None]
     blocks = channel.repeated(step, int(round(t_end / dt)), math.gcd(record_stride, check_stride))
-    marks, records, ends = channel.propagate(y0, blocks, record_stride, check_stride, settled)
+    marks, records, ends = channel.propagate(y0, blocks, record_stride, check_stride, np.array([bound]))
     assert ends[0] == marks[-1]
     return marks, records
 
@@ -519,6 +519,19 @@ def test_steady_temperatures_match_per_row_math(rows, k, omega, shared):
     assert got[-1] == shared
     # one row alone gives the same bits as inside the batch
     assert steady_temperatures(temps[:1], rates[:1], omega)[0] == got[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.lists(st.tuples(_temperature, st.floats(1e-4, 0.2)), min_size=1, max_size=4),
+                     min_size=1, max_size=8))
+def test_steady_populations_of_padded_rows_keep_the_bits_of_steady_state(rows):
+    # baths of rate 0, at T = 0 or not, add exact zeros to every sum
+    width = max(map(len, rows))
+    rates = np.array([[g for _, g in row] + [0.0] * (width - len(row)) for row in rows])
+    for pad in (0.0, 1.0):
+        temps = np.array([[t for t, _ in row] + [pad] * (width - len(row)) for row in rows])
+        for row, p_e in zip(rows, lindblad.steady_populations(temps, rates).tolist()):
+            assert p_e == steady_state(make_config([t for t, _ in row], [g for _, g in row]))[0, 0].real
 
 
 _big = sys.float_info.max
