@@ -53,10 +53,7 @@ def check_ode_matches_analytic(n_configs: int = 100, seed: int = 20240101) -> Cr
     trajs = lindblad.evolve_many(configs, rho0s, t_end=4000.0, dt=0.05, record_every=10.0, stop_tol=1e-9)
     # the closed-form steady states of all configurations from one call, the
     # baths padded with rate 0, which adds exact zeros to every sum
-    temps, rates = np.zeros((2, n_configs, max(len(config.rates) for config in configs)))
-    for j, config in enumerate(configs):
-        temps[j, : len(config.rates)] = config.temperatures
-        rates[j, : len(config.rates)] = config.rates
+    _, temps, _, rates = lindblad._baths(configs)
     p_e = lindblad.steady_populations(temps, rates)
     steady = np.stack([p_e, 1.0 - p_e, np.zeros(n_configs), np.zeros(n_configs)], axis=1)
     worst = float(channel.trace_distances(np.array([traj.coords[-1] for traj in trajs]) - steady).max())
@@ -109,7 +106,13 @@ def check_rate_sweep() -> CriterionResult:
 
 def check_homogenization() -> CriterionResult:
     """Single-reservoir collision streams thermalize the qubit to the
-    reservoir Gibbs state within a bounded collision count."""
+    reservoir Gibbs state within a bounded collision count, which equals the
+    closed-form count.
+
+    From the ground state each resonant collision scales |p_e - p_a| by
+    cos^2(J tau), where p_a = nbar / (2 nbar + 1) is the ancilla's excited
+    population, and the coherence stays 0, so the trace distance first falls
+    below 1e-3 after ceil(ln(1e-3 / p_a) / ln cos^2(J tau)) collisions."""
     t0 = time.perf_counter()
     temps = (0.5, 1.0, 2.0, 5.0)
     configs = [
@@ -119,7 +122,7 @@ def check_homogenization() -> CriterionResult:
     trajs = collisions.run_collisions_many(qmat.ground_state(), configs, n=6000)
     counts = {}
     ok = True
-    for temp, traj in zip(temps, trajs):
+    for temp, config, traj in zip(temps, configs, trajs):
         target = channel.to_coords(qmat.qubit_thermal_state(1.0, temp))
         dists = channel.trace_distances(traj.coords - target)
         below = traj.times[dists < 1e-3]
@@ -128,7 +131,10 @@ def check_homogenization() -> CriterionResult:
             counts[temp] = None
         else:
             counts[temp] = int(below[0])
-            ok = ok and below[0] <= 10**5
+            nbar = lindblad.thermal_occupation(config.frequency, temp)
+            p_a = nbar / (2.0 * nbar + 1.0)
+            predicted = math.ceil(math.log(1e-3 / p_a) / math.log(math.cos(config.coupling * config.tau) ** 2))
+            ok = ok and below[0] <= 10**5 and counts[temp] == predicted
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     detail = ", ".join(f"T={t}: {c} collisions" for t, c in counts.items())
@@ -216,36 +222,41 @@ def check_core_properties(seed: int = 7) -> CriterionResult:
     rng = np.random.default_rng(seed)
     failures = []
 
-    residual_worst = 0.0
-    bracket_ok = True
-    for _ in range(50):
-        config = _random_config(rng)
-        rho_ss = qmat.validate_density_matrix(lindblad.steady_state(config))
-        residual_worst = max(residual_worst, float(np.abs(lindblad.lindblad_rhs(config, rho_ss)).max()))
-        t_ss = lindblad.steady_temperature(config)
-        bracket_ok = bracket_ok and (min(config.temperatures) - 1e-12 <= t_ss <= max(config.temperatures) + 1e-12)
+    # 50 random configurations at once, their baths padded with rate 0
+    configs = [_random_config(rng) for _ in range(50)]
+    omegas, temps, occupations, rates = lindblad._baths(configs)
+    p_e = lindblad.steady_populations(temps, rates)
+    rho_ss = np.zeros((len(configs), 2, 2), dtype=complex)
+    rho_ss[:, 0, 0], rho_ss[:, 1, 1] = p_e, 1.0 - p_e
+    qmat.validate_density_matrix(rho_ss)
+    residual = lindblad._apply_generators(omegas, occupations, rates, rho_ss)
+    residual_worst = float(np.abs(residual).max())
+    t_ss = lindblad.steady_temperatures(temps, rates).tolist()
+    bracket_ok = all(
+        min(config.temperatures) - 1e-12 <= t <= max(config.temperatures) + 1e-12 for config, t in zip(configs, t_ss)
+    )
     if residual_worst >= 1e-10:
         failures.append(f"steady-state residual {residual_worst:.2e}")
     if not bracket_ok:
         failures.append("bracketing violated")
 
     rule = classifier.DecisionRule.instance_mean()
-    for _ in range(25):
-        temps = rng.uniform(0.5, 5.0, 2)
-        rates = rng.uniform(0.01, 0.05, 2)
-        base = classifier.classify(lindblad.make_config(temps, rates), rule)
-        scaled = classifier.classify(lindblad.make_config(temps, 3.5 * rates), rule)
-        if base.label != scaled.label or abs(base.steady_temperature - scaled.steady_temperature) > 1e-12:
-            failures.append("rate-rescaling invariance violated")
-            break
+    pairs = [(rng.uniform(0.5, 5.0, 2), rng.uniform(0.01, 0.05, 2)) for _ in range(25)]
+    temps = np.array([t for t, _ in pairs])
+    rates = np.array([r for _, r in pairs])
+    base_t, _, base_labels = classifier._label(temps, rates, rule, 1.0)
+    scaled_t, _, scaled_labels = classifier._label(temps, 3.5 * rates, rule, 1.0)
+    if base_labels != scaled_labels or any(abs(a - b) > 1e-12 for a, b in zip(base_t, scaled_t)):
+        failures.append("rate-rescaling invariance violated")
 
     config = collisions.CollisionConfig(
         frequency=1.0, coupling=0.05, tau=1.0, reservoirs=((3.0, 0.5), (1.0, 0.5))
     )
     rho0 = qmat.random_density_matrix(rng)
-    once = collisions.run_collisions(rho0, config, n=12).final_state
-    part = collisions.run_collisions(rho0, config, n=7).final_state
-    joined = collisions.run_collisions(part, config, n=5).final_state
+    # 12 collisions at once against 7 (read off the same run) and then 5
+    run = collisions.run_collisions(rho0, config, n=12)
+    once = run.final_state
+    joined = collisions.run_collisions(channel.from_coords(run.coords[7]), config, n=5).final_state
     if np.abs(once - joined).max() > 1e-12:
         failures.append("collision composition not associative")
     qmat.validate_density_matrix(once)

@@ -39,15 +39,6 @@ def from_coords(y: np.ndarray) -> np.ndarray:
     return np.array([[y[0], c], [np.conj(c), y[1]]], dtype=complex)
 
 
-def matrix_of(linear_map) -> np.ndarray:
-    """Real 4x4 matrix of a Hermiticity-preserving linear map on 2x2
-    matrices, built column by column by applying the map to the basis."""
-    m = np.empty((4, 4), dtype=float)
-    for j, basis in enumerate(BASIS):
-        m[:, j] = to_coords(linear_map(basis))
-    return m
-
-
 def trace_distances(dy: np.ndarray) -> np.ndarray:
     """Trace distances between pairs of states, elementwise over the leading
     axes of dy, the (..., 4) differences of their coordinates."""

@@ -234,7 +234,8 @@ class Perceptron:
 @dataclass(frozen=True)
 class NotSeparable:
     """Returned when the training loop exhausts its epoch budget with
-    misclassified points remaining."""
+    misclassified points remaining: `errors` is the count of the last
+    epoch."""
 
     epochs: int
     errors: int
@@ -251,6 +252,12 @@ def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
     stall convergence); the returned weights are mapped back to raw feature
     coordinates and re-verified there. A set containing a single label is
     trivially separable and short-circuits to a constant-side hyperplane.
+
+    An epoch is a fixed map of the state (w, b) it starts from, so once an
+    epoch starts from a state that an earlier one started from, training
+    cycles for ever: the loop stops there and returns the NotSeparable that
+    the full epoch budget would give, with the error count of the cycle's
+    epoch that falls on max_epochs.
     """
     points = list(points)
     if len(points) < 2:
@@ -269,7 +276,16 @@ def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
     w = np.zeros(x.shape[1])
     b = 0.0
     errors = len(points)
-    for epoch in range(1, max_epochs + 1):
+    started = {}  # the state each epoch started from -> the epoch's index in counts
+    counts = []  # the error count of each epoch so far
+    for _ in range(max_epochs):
+        state = (w.tobytes(), b)
+        if state in started:
+            # the epochs from counts[first] on repeat for ever: pick the budget's last
+            first = started[state]
+            last = first + (max_epochs - 1 - first) % (len(counts) - first)
+            return NotSeparable(epochs=max_epochs, errors=counts[last])
+        started[state] = len(counts)
         errors = 0
         for xi, yi in zip(xs, y):
             if step(float(w @ xi + b)) != yi:
@@ -284,4 +300,5 @@ def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
             if all(fitted.predict(p.features) == _LABEL_SIGN[p.label] for p in points):
                 return fitted
             errors = 1
+        counts.append(errors)
     return NotSeparable(epochs=max_epochs, errors=errors)

@@ -7,7 +7,6 @@ interleaving.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -95,21 +94,6 @@ def flip_flop_hamiltonian(h: float, coupling: float) -> np.ndarray:
     return free + coupling * (exchange + exchange.conj().T)
 
 
-def _collide(rho_s: np.ndarray, rho_ancilla: np.ndarray, propagator: np.ndarray) -> np.ndarray:
-    joint = np.kron(rho_s, rho_ancilla)
-    evolved = propagator @ joint @ propagator.conj().T
-    return qmat.partial_trace(evolved, keep="system")
-
-
-def single_collision(rho_s: np.ndarray, temperature: float, config: CollisionConfig) -> np.ndarray:
-    """One collision with a fresh ancilla prepared thermal at `temperature`:
-    joint unitary for time tau, then the ancilla is traced out and discarded.
-    The map is completely positive and trace preserving by construction."""
-    qmat.validate_density_matrix(rho_s, "system state")
-    u = qmat.unitary_propagator(flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
-    return _collide(rho_s, qmat.qubit_thermal_state(config.frequency, temperature), u)
-
-
 def run_collisions(
     rho0: np.ndarray, config: CollisionConfig, n: int, record_every: int = 1
 ) -> Trajectory:
@@ -127,7 +111,8 @@ def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1
     its configuration and initial state alone.
 
     Each reservoir's collision is a fixed linear map on the qubit, built once
-    as a 4x4 matrix by applying the collision to the coordinate basis.
+    as a 4x4 matrix by applying the collision to the coordinate basis; the
+    maps of every reservoir of every configuration are built in one batch.
     mixture: every step applies rho -> sum_i p_i Lambda_i[rho].
     sampled: every step draws one reservoir (deterministic under each
     configuration's own seed).
@@ -149,10 +134,9 @@ def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape not in ((2, 2), (len(configs), 2, 2)):
         raise ValueError(f"need one 2x2 initial state or {len(configs)} of them, got shape {rho0.shape}")
-    for rho in rho0.reshape(-1, 2, 2):
-        qmat.validate_density_matrix(rho, "initial state")
+    qmat.validate_density_matrix(rho0, "initial state")
 
-    maps = [_collision_maps(config) for config in configs]
+    maps = _collision_maps(configs)
     if schedules == {"mixture"}:
         mixtures = [sum(p * m for p, m in zip(config.probabilities, row)) for config, row in zip(configs, maps)]
         blocks = channel.repeated(np.stack(mixtures), n, record_every)
@@ -174,15 +158,37 @@ def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1
     ]
 
 
-def _collision_maps(config: CollisionConfig) -> np.ndarray:
-    """The 4x4 matrix of one collision with each reservoir of config, stacked."""
-    u = qmat.unitary_propagator(flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
-    return np.stack([
-        channel.matrix_of(
-            functools.partial(_collide, rho_ancilla=qmat.qubit_thermal_state(config.frequency, t), propagator=u)
-        )
-        for t in config.temperatures
-    ])
+def _collision_maps(configs) -> list:
+    """The 4x4 matrices of one collision with each reservoir of each
+    configuration, one (k, 4, 4) stack per configuration.
+
+    A collision with an ancilla prepared thermal at T is the joint unitary
+    for time tau, after which the ancilla is traced out and discarded, so
+    the map is completely positive and trace preserving by construction.
+    The unitary is computed once per distinct (frequency, coupling, tau);
+    the tensor products, the unitary conjugations and the partial traces of
+    every reservoir's four coordinate basis matrices run as one stacked pass.
+    """
+    unitaries, ancillas = {}, {}
+    us, rhos = [], []
+    for config in configs:
+        key = (config.frequency, config.coupling, config.tau)
+        if key not in unitaries:
+            hamiltonian = flip_flop_hamiltonian(config.frequency, config.coupling)
+            unitaries[key] = qmat.unitary_propagator(hamiltonian, config.tau)
+        for t in config.temperatures:
+            if (config.frequency, t) not in ancillas:
+                ancillas[config.frequency, t] = qmat.qubit_thermal_state(config.frequency, t)
+            us.append(unitaries[key])
+            rhos.append(ancillas[config.frequency, t])
+    u = np.stack(us)[:, None]
+    # kron(basis, ancilla) for every reservoir and basis matrix: (m, 4, 4, 4)
+    joint = channel.BASIS[None, :, :, None, :, None] * np.stack(rhos)[:, None, None, :, None, :]
+    joint = joint.reshape(-1, 4, 4, 4)
+    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
+    # C order, as numpy's matrix products of other layouts may round differently
+    maps = channel.to_coords(qmat.partial_trace(evolved, keep="system")).swapaxes(1, 2).copy()
+    return np.split(maps, np.cumsum([len(config.reservoirs) for config in configs])[:-1])
 
 
 # record intervals whose sampled-schedule products are formed in one batch

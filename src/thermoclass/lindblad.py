@@ -90,16 +90,20 @@ def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
 
 
-def _apply_generator(config: SystemConfig, rho: np.ndarray, dissipators=None) -> np.ndarray:
-    """Linear action of the full generator on an arbitrary 2x2 matrix, or on
-    each matrix of a (..., 2, 2) stack; `dissipators` may hold the
-    (D[sigma_-] rho, D[sigma_+] rho) pair when it is known already."""
-    h = 0.5 * config.omega_s * qmat.pauli("z")
+def _apply_generators(omegas, occupations, rates, rho: np.ndarray, dissipators=None) -> np.ndarray:
+    """Linear action of b generators on arbitrary 2x2 matrices: rho is a
+    (b, ..., 2, 2) stack, or broadcasts to one, whose j-th entry the j-th
+    generator acts on. omegas is (b,), occupations and rates are (b, k), one
+    column per bath; a bath of rate 0 is padding and adds nothing.
+    `dissipators` may hold the (D[sigma_-] rho, D[sigma_+] rho) pair when it
+    is known already."""
+    lead = (slice(None),) + (None,) * (rho.ndim - 1)  # (b,) values against rho's axes
+    h = (0.5 * np.asarray(omegas))[lead] * qmat.pauli("z")
     out = -1j * (h @ rho - rho @ h)
     down, up = dissipators or _dissipators(rho)
-    for temperature, rate in zip(config.temperatures, config.rates):
-        n = thermal_occupation(config.omega_s, temperature)
-        out += rate * ((n + 1.0) * down + n * up)
+    for n, rate in zip(np.asarray(occupations).T, np.asarray(rates).T):
+        n, active = n[lead], (rate > 0)[lead]
+        np.add(out, rate[lead] * ((n + 1.0) * down + n * up), out=out, where=active)
     return out
 
 
@@ -109,8 +113,22 @@ def _dissipators(rho: np.ndarray) -> tuple:
     return _dissipator(qmat.pauli("minus"), rho), _dissipator(qmat.pauli("plus"), rho)
 
 
-# the _dissipators of channel.BASIS, which every real_generator call reuses
+# the _dissipators of channel.BASIS, which every real generator build reuses
 _BASIS_DISSIPATORS = _dissipators(channel.BASIS)
+
+
+def _baths(configs) -> tuple:
+    """The qubit frequencies (b,) of the configurations, and the
+    temperatures, thermal occupations and rates (b, k) of their baths,
+    padded with rate-0 baths at T = 0 to the widest configuration. Each
+    occupation is computed once, with thermal_occupation."""
+    temperatures, occupations, rates = np.zeros((3, len(configs), max(len(config.rates) for config in configs)))
+    for j, config in enumerate(configs):
+        k = len(config.rates)
+        temperatures[j, :k] = config.temperatures
+        occupations[j, :k] = [thermal_occupation(config.omega_s, t) for t in config.temperatures]
+        rates[j, :k] = config.rates
+    return np.array([config.omega_s for config in configs]), temperatures, occupations, rates
 
 
 def lindblad_rhs(config: SystemConfig, rho: np.ndarray) -> np.ndarray:
@@ -118,7 +136,16 @@ def lindblad_rhs(config: SystemConfig, rho: np.ndarray) -> np.ndarray:
 
     The result is Hermitian and traceless for Hermitian input.
     """
-    return _apply_generator(config, np.asarray(rho, dtype=complex))
+    omegas, _, occupations, rates = _baths([config])
+    return _apply_generators(omegas, occupations, rates, np.asarray(rho, dtype=complex)[None])[0]
+
+
+def _real_generators(omegas, occupations, rates) -> np.ndarray:
+    """The (b, 4, 4) real generators of b configurations (see
+    _apply_generators for the arguments), all built in one pass over the
+    coordinate basis."""
+    out = _apply_generators(omegas, occupations, rates, channel.BASIS[None], _BASIS_DISSIPATORS)
+    return channel.to_coords(out).swapaxes(1, 2).copy()
 
 
 def real_generator(config: SystemConfig) -> np.ndarray:
@@ -128,7 +155,8 @@ def real_generator(config: SystemConfig) -> np.ndarray:
     coordinate basis variations, all four in one stacked call, so it is the
     same linear map as lindblad_rhs by construction.
     """
-    return channel.to_coords(_apply_generator(config, channel.BASIS, _BASIS_DISSIPATORS)).T.copy()
+    omegas, _, occupations, rates = _baths([config])
+    return _real_generators(omegas, occupations, rates)[0]
 
 
 def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:
@@ -253,13 +281,13 @@ def mean_bath_temperature(config: SystemConfig) -> float:
     return float(mean_temperatures([config.temperatures])[0])
 
 
-def _rk4_guard(config: SystemConfig, dt: float) -> None:
-    """The RK4 guards: every thermal occupation finite, dt * Gamma * (nbar + 1)
-    at most RK4_STABILITY_MAX for every bath, and omega * dt at most
-    RK4_ROTATION_MAX."""
+def _rk4_guard(config: SystemConfig, occupations, dt: float) -> None:
+    """The RK4 guards, given the thermal occupations of the baths (entries
+    past the last bath are ignored): every occupation finite,
+    dt * Gamma * (nbar + 1) at most RK4_STABILITY_MAX for every bath, and
+    omega * dt at most RK4_ROTATION_MAX."""
     fastest = 0.0
-    for i, (temperature, rate) in enumerate(zip(config.temperatures, config.rates)):
-        n = thermal_occupation(config.omega_s, temperature)
+    for i, (temperature, rate, n) in enumerate(zip(config.temperatures, config.rates, occupations)):
         if not math.isfinite(n):
             raise GuardViolation(
                 f"bath {i} temperature {temperature} gives a non-finite thermal occupation "
@@ -280,16 +308,18 @@ def _rk4_guard(config: SystemConfig, dt: float) -> None:
 
 def _rk4_step(generator: np.ndarray, dt: float) -> np.ndarray:
     """The exact one-step matrix of classical RK4 for dy/dt = K y, K a real
-    generator: the degree-4 Taylor polynomial of exp(dt K)."""
+    generator or a (b, 4, 4) stack of them: the degree-4 Taylor polynomial
+    of exp(dt K)."""
     hk = dt * generator
     return np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk / 4.0) / 3.0) / 2.0)
 
 
-def _slowest_decay_rate(generator: np.ndarray) -> float:
-    """Slowest nonzero decay rate of a real generator: the coherence decay
-    rate Gamma_Sigma / 2, its Re c diagonal entry. The generator is block
-    diagonal with eigenvalues 0, -Gamma_Sigma and -Gamma_Sigma / 2 +- i omega."""
-    return float(-generator[2, 2])
+def _slowest_decay_rate(generator: np.ndarray) -> np.ndarray:
+    """Slowest nonzero decay rate of a real generator, or of each of a stack:
+    the coherence decay rate Gamma_Sigma / 2, its Re c diagonal entry. The
+    generator is block diagonal with eigenvalues 0, -Gamma_Sigma and
+    -Gamma_Sigma / 2 +- i omega."""
+    return -generator[..., 2, 2]
 
 
 def evolve_many(
@@ -306,11 +336,13 @@ def evolve_many(
 
     The generator is linear and time independent, so the RK4 update is
     applied as its exact one-step matrix (see _rk4_step), one per
-    configuration, stacked. Nothing reads the states between two records or
-    early-stop checks, so the loop applies that matrix raised to the
-    gcd of the two strides, one power per interval. States are recorded
-    every `record_every` time units plus the final state, each renormalized
-    to unit trace; the raw trace drift is tracked on the side.
+    configuration, stacked; the generators and step matrices of all
+    configurations are built in one batched pass. Nothing reads the states
+    between two records or early-stop checks, so the loop applies that
+    matrix raised to the gcd of the two strides, one power per interval.
+    States are recorded every `record_every` time units plus the final
+    state, each renormalized to unit trace; the raw trace drift is tracked
+    on the side.
 
     When stop_tol is set, each configuration stops early, on its own, once
     its state is within about stop_tol (trace distance) of its fixed point;
@@ -328,15 +360,15 @@ def evolve_many(
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < dt:
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
-    for config in configs:
-        _rk4_guard(config, dt)
-    generators = [real_generator(config) for config in configs]
-    step = np.stack([_rk4_step(k, dt) for k in generators])
+    omegas, _, occupations, rates = _baths(configs)
+    for config, row in zip(configs, occupations.tolist()):
+        _rk4_guard(config, row, dt)
+    generators = _real_generators(omegas, occupations, rates)
+    step = _rk4_step(generators, dt)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape not in ((2, 2), (len(configs), 2, 2)):
         raise ValueError(f"need one 2x2 initial state or {len(configs)} of them, got shape {rho0.shape}")
-    for rho in rho0.reshape(-1, 2, 2):
-        qmat.validate_density_matrix(rho, "initial state")
+    qmat.validate_density_matrix(rho0, "initial state")
 
     if t_end / dt > sys.maxsize:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceeds the largest step count {sys.maxsize}")
@@ -348,7 +380,9 @@ def evolve_many(
     if stop_tol is not None:
         block = math.gcd(record_stride, check_stride)
         t_check = check_stride * dt
-        bounds = np.array([-stop_tol * math.expm1(-_slowest_decay_rate(k) * t_check) for k in generators])
+        # math.expm1 row by row: np.expm1 differs from it in the last bit for some inputs
+        decay_rates = _slowest_decay_rate(generators).tolist()
+        bounds = np.array([-stop_tol * math.expm1(-rate * t_check) for rate in decay_rates])
 
     y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
     marks, records, ends = channel.propagate(

@@ -65,18 +65,19 @@ def qubit_thermal_state(omega: float, temperature: float) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Trace a 4x4 two-qubit density matrix down to the kept qubit.
+    """Trace a 4x4 two-qubit density matrix, or each matrix of a (..., 4, 4)
+    stack, down to the kept qubit.
 
     keep="system" keeps the first tensor factor, keep="ancilla" the second.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got shape {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"partial_trace expects 4x4 matrices, got shape {rho.shape}")
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
     if keep == "system":
-        return np.einsum("ijkj->ik", r)
+        return np.einsum("...ijkj->...ik", r)
     if keep == "ancilla":
-        return np.einsum("ijil->jl", r)
+        return np.einsum("...ijil->...jl", r)
     raise ValueError(f"keep must be 'system' or 'ancilla', got {keep!r}")
 
 
@@ -105,21 +106,28 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return rho unchanged."""
+    """Check Hermiticity, unit trace and positivity of a density matrix, or of
+    each matrix of a (..., d, d) stack, whose error message then names the
+    index of the first bad state; return rho unchanged."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name}: not a square matrix, shape {rho.shape}")
-    if rho.shape[0] not in (2, 4):
-        raise ValueError(f"{name}: dimension {rho.shape[0]} not supported (2 or 4)")
-    herm = float(np.abs(rho - rho.conj().T).max())
+    if rho.shape[-1] not in (2, 4):
+        raise ValueError(f"{name}: dimension {rho.shape[-1]} not supported (2 or 4)")
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    lo = np.linalg.eigvalsh(rho).min(axis=-1)
+    if rho.ndim > 2:
+        bad = (herm > HERMITICITY_ATOL) | (abs(tr - 1.0) > TRACE_ATOL) | (lo < EIGENVALUE_FLOOR)
+        for index in map(tuple, np.argwhere(bad).tolist()):
+            validate_density_matrix(rho[index], f"{name} {', '.join(map(str, index))}")
+        return rho
     if herm > HERMITICITY_ATOL:
-        raise ValueError(f"{name}: not Hermitian, max |rho - rho^dag| = {herm:.3e}")
-    tr = complex(np.trace(rho))
+        raise ValueError(f"{name}: not Hermitian, max |rho - rho^dag| = {float(herm):.3e}")
     if abs(tr - 1.0) > TRACE_ATOL:
-        raise ValueError(f"{name}: trace {tr} differs from 1 by more than 1e-12")
-    lo = float(np.linalg.eigvalsh(rho).min())
+        raise ValueError(f"{name}: trace {complex(tr)} differs from 1 by more than 1e-12")
     if lo < EIGENVALUE_FLOOR:
-        raise ValueError(f"{name}: negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
+        raise ValueError(f"{name}: negative eigenvalue {float(lo):.3e} below floor {EIGENVALUE_FLOOR}")
     return rho
 
 

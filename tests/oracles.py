@@ -1,0 +1,38 @@
+"""Direct, one-matrix-at-a-time forms of the maps the package builds in
+batches, which the tests compare against."""
+
+import numpy as np
+
+from thermoclass import channel, collisions, qmat
+
+
+def matrix_of(linear_map) -> np.ndarray:
+    """Real 4x4 matrix of a Hermiticity-preserving linear map on 2x2
+    matrices, built column by column by applying the map to each coordinate
+    basis matrix alone."""
+    m = np.empty((4, 4), dtype=float)
+    for j, basis in enumerate(channel.BASIS):
+        m[:, j] = channel.to_coords(linear_map(basis))
+    return m
+
+
+def partial_trace_system(joint: np.ndarray) -> np.ndarray:
+    """Trace the ancilla (second factor) out of one 4x4 two-qubit matrix,
+    entry by entry."""
+    return np.array([[joint[2 * i, 2 * k] + joint[2 * i + 1, 2 * k + 1] for k in range(2)] for i in range(2)])
+
+
+def single_collision(rho_s: np.ndarray, temperature: float, config) -> np.ndarray:
+    """One collision with a fresh ancilla prepared thermal at `temperature`:
+    the joint unitary for time tau on kron(rho_s, ancilla), then the ancilla
+    traced out."""
+    u = qmat.unitary_propagator(collisions.flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
+    joint = np.kron(rho_s, qmat.qubit_thermal_state(config.frequency, temperature))
+    return partial_trace_system(u @ joint @ u.conj().T)
+
+
+def collision_maps(config) -> np.ndarray:
+    """The 4x4 matrix of one collision with each reservoir of config, stacked."""
+    return np.stack([
+        matrix_of(lambda rho, t=t: single_collision(rho, t, config)) for t in config.temperatures
+    ])

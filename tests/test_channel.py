@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -6,6 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import collision_maps
 from thermoclass import channel, collisions, lindblad, qmat
 
 
@@ -171,13 +171,7 @@ def test_run_collisions_matches_step_by_step(seed, reservoirs, schedule, n, reco
     rho0 = qmat.random_density_matrix(np.random.default_rng(seed))
     traj = collisions.run_collisions(rho0, config, n, record_every)
 
-    u = qmat.unitary_propagator(collisions.flip_flop_hamiltonian(1.0, 0.05), 1.0)
-    maps = [
-        channel.matrix_of(
-            functools.partial(collisions._collide, rho_ancilla=qmat.qubit_thermal_state(1.0, t), propagator=u)
-        )
-        for t in temps
-    ]
+    maps = collision_maps(config)
     if schedule == "mixture":
         steps = [sum(p * m for p, m in zip(probs, maps))] * n
     else:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermoclass import lindblad
 from thermoclass.classifier import (
@@ -230,6 +232,60 @@ def test_perceptron_xor_not_separable():
     result = perceptron_fit(points, max_epochs=500)
     assert isinstance(result, NotSeparable)
     assert result.epochs == 500
+    assert result.errors == 4
+
+
+def _perceptron_fit_full_budget(points, max_epochs):
+    """perceptron_fit as a loop that runs every epoch of its budget."""
+    x = np.array([p.features for p in points], dtype=float)
+    y = np.array([1.0 if p.label == CLASS_HOT else -1.0 for p in points])
+    if np.all(y == y[0]):
+        return Perceptron(weights=(0.0,) * x.shape[1], bias=float(y[0]))
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    xs = (x - mean) / std
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    errors = len(points)
+    for _ in range(max_epochs):
+        errors = 0
+        for xi, yi in zip(xs, y):
+            if step(float(w @ xi + b)) != yi:
+                w += yi * xi
+                b += yi
+                errors += 1
+        if errors == 0:
+            fitted = Perceptron(weights=tuple(w / std), bias=float(b - np.sum(w * mean / std)))
+            if all(fitted.predict(xi) == yi for xi, yi in zip(x, y)):
+                return fitted
+            errors = 1
+    return NotSeparable(epochs=max_epochs, errors=errors)
+
+
+_grid = st.sampled_from((0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_grid, _grid, st.booleans()), min_size=2, max_size=7),
+       max_epochs=st.one_of(st.integers(1, 3), st.integers(4, 60)))
+# duplicates with opposite labels: XOR-like, never separable
+@example(points=[(1.0, 1.0, True), (1.0, 1.0, False), (0.0, 2.0, True)], max_epochs=2)
+# collinear points labeled +, -, +
+@example(points=[(0.0, 0.0, True), (1.0, 1.0, False), (2.0, 2.0, True)], max_epochs=60)
+# a zero-error epoch whose raw-space check fails on a score tie: a cycle of period 1
+@example(points=[(3.0, 1.0 / 3.0, True), (3.0, 2.0, False)], max_epochs=3)
+def test_perceptron_cycle_stop_gives_the_full_budget_result(points, max_epochs):
+    points = [LabeledPoint((x1, x2), 0.0, CLASS_HOT if hot else CLASS_COLD) for x1, x2, hot in points]
+    fitted = perceptron_fit(points, max_epochs)
+    expected = _perceptron_fit_full_budget(points, max_epochs)
+    assert type(fitted) is type(expected)
+    if isinstance(expected, Perceptron):
+        assert np.array(fitted.weights).tobytes() == np.array(expected.weights).tobytes()
+        assert np.array(fitted.bias).tobytes() == np.array(expected.bias).tobytes()
+    else:
+        assert fitted == expected
+
 
 
 def test_perceptron_single_label_short_circuit():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoclass import lindblad, qmat
+from oracles import collision_maps, single_collision
+from thermoclass import collisions, lindblad, qmat
 from thermoclass.collisions import (
     SCHEDULES,
     CollisionConfig,
@@ -14,9 +15,14 @@ from thermoclass.collisions import (
     reservoir_probabilities,
     run_collisions,
     run_collisions_many,
-    single_collision,
 )
 from thermoclass.errors import GuardViolation
+
+
+def one_collision(rho, temperature, config):
+    """The state after one collision of run_collisions with a reservoir at temperature."""
+    lone = CollisionConfig(config.frequency, config.coupling, config.tau, ((temperature, 1.0),))
+    return run_collisions(rho, lone, n=1).final_state
 
 
 def basic_config(temp=2.0, tau=1.0):
@@ -74,19 +80,19 @@ def test_collision_config_validation():
 def test_single_collision_thermal_state_invariant():
     for temp in (0.5, 2.0, 5.0):
         gibbs = qmat.qubit_thermal_state(1.0, temp)
-        out = single_collision(gibbs, temp, basic_config(temp))
+        out = one_collision(gibbs, temp, basic_config(temp))
         assert np.abs(out - gibbs).max() < 1e-12
 
 
 def test_single_collision_zero_duration_is_identity():
     rng = np.random.default_rng(1)
     rho = qmat.random_density_matrix(rng)
-    out = single_collision(rho, 2.0, basic_config(tau=0.0))
+    out = one_collision(rho, 2.0, basic_config(tau=0.0))
     np.testing.assert_allclose(out, rho, atol=1e-15)
 
 
 def test_single_collision_heats_ground_state():
-    out = single_collision(qmat.ground_state(), 2.0, basic_config())
+    out = one_collision(qmat.ground_state(), 2.0, basic_config())
     assert out[0, 0].real > 0.0
     # same sign as the continuous dynamics from the same start
     rhs = lindblad.lindblad_rhs(lindblad.make_config((2.0,), (0.1,)), qmat.ground_state())
@@ -98,7 +104,7 @@ def test_single_collision_is_trace_preserving_and_positive():
     config = basic_config()
     for _ in range(25):
         rho = qmat.random_density_matrix(rng)
-        out = single_collision(rho, float(rng.uniform(0.0, 5.0)), config)
+        out = one_collision(rho, float(rng.uniform(0.0, 5.0)), config)
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out).min() >= -1e-12
         assert np.abs(out - out.conj().T).max() < 1e-12
@@ -299,6 +305,31 @@ def test_run_collisions_many_rows_equal_lone_runs(rows, schedule, shared, n, str
         alone = run_collisions(rho0s[0 if shared else j], config, n, record_every)
         np.testing.assert_array_equal(traj.times, alone.times)
         np.testing.assert_array_equal(traj.coords, alone.coords)
+
+
+_map_row = st.tuples(
+    st.lists(st.one_of(st.sampled_from((0.0, 1e-3, 1e300)), st.floats(0.0, 10.0)), min_size=1, max_size=4),
+    st.integers(0, 2),  # which of three (h, J, tau) triples, so that some rows share one
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(_map_row, min_size=1, max_size=6),
+       triples=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1e-3, 0.099), st.floats(0.0, 50.0)),
+                        min_size=3, max_size=3))
+def test_batched_collision_maps_match_the_direct_form(rows, triples):
+    # every reservoir's map of a batch with mixed reservoir counts and
+    # (h, J, tau) triples, bit for bit against kron, U rho U^dag and a
+    # partial trace applied to one basis matrix at a time
+    configs = []
+    for temps, which in rows:
+        h, ratio, tau = triples[which]
+        configs.append(CollisionConfig(h, ratio * h, tau, tuple((t, 1.0 / len(temps)) for t in temps)))
+    batch = collisions._collision_maps(configs)
+    assert len(batch) == len(configs)
+    for config, maps in zip(configs, batch):
+        assert maps.flags.c_contiguous
+        assert maps.tobytes() == collision_maps(config).tobytes()
 
 
 def test_run_collisions_many_validation():

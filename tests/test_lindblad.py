@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_of
 from thermoclass import channel, qmat
 from thermoclass.channel import boltzmann_temperature
 from thermoclass.classifier import CLASS_HOT, DecisionRule, classify
@@ -131,6 +132,18 @@ _generator_temperature = st.one_of(
 )
 
 
+def _rhs_per_bath(config, rho):
+    """The master-equation right-hand side of one configuration on one 2x2
+    matrix, one bath at a time with its occupation as a Python float."""
+    h = 0.5 * config.omega_s * qmat.pauli("z")
+    out = -1j * (h @ rho - rho @ h)
+    for temperature, rate in zip(config.temperatures, config.rates):
+        n = thermal_occupation(config.omega_s, temperature)
+        out += rate * ((n + 1.0) * lindblad._dissipator(qmat.pauli("minus"), rho)
+                       + n * lindblad._dissipator(qmat.pauli("plus"), rho))
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(baths=st.lists(st.tuples(_generator_temperature, st.floats(1e-6, 0.2)), min_size=1, max_size=5),
        omega=st.sampled_from((1.0, 0.3, 7.0)))
@@ -140,8 +153,39 @@ def test_real_generator_matches_per_basis_build(baths, omega):
     # occupations included
     config = make_config([t for t, _ in baths], [g * omega for _, g in baths], omega)
     with np.errstate(invalid="ignore"):
-        per_basis = channel.matrix_of(lambda rho: lindblad._apply_generator(config, rho))
+        per_basis = matrix_of(lambda rho: _rhs_per_bath(config, rho))
         assert lindblad.real_generator(config).tobytes() == per_basis.tobytes()
+
+
+_setup_config = st.tuples(
+    st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 10.0)), st.floats(1e-6, 0.2)), min_size=1, max_size=4),
+    st.sampled_from((1.0, 0.3, 7.0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs=st.lists(_setup_config, min_size=1, max_size=6), dt_share=st.floats(0.01, 1.0),
+       stop_tol=st.floats(1e-12, 1e-2))
+def test_batched_setup_matches_each_configuration_alone(configs, dt_share, stop_tol):
+    # configurations with 1-4 baths, T = 0 ones included, padded to the
+    # widest: the stacked generators, RK4 step matrices and early-stop bounds
+    # are bit for bit those each configuration gives alone
+    configs = [make_config([t for t, _ in baths], [g * omega for _, g in baths], omega) for baths, omega in configs]
+    dt = dt_share * lindblad.RK4_ROTATION_MAX / max(config.omega_s for config in configs)
+    omegas, temps, occupations, rates = lindblad._baths(configs)
+    for j, config in enumerate(configs):
+        k = len(config.rates)
+        assert occupations[j, :k].tolist() == [thermal_occupation(config.omega_s, t) for t in config.temperatures]
+        assert temps[j, :k].tolist() == list(config.temperatures) and not temps[j, k:].any()
+        assert rates[j, :k].tolist() == list(config.rates) and not rates[j, k:].any()
+    generators = lindblad._real_generators(omegas, occupations, rates)
+    alone = [lindblad.real_generator(config) for config in configs]
+    assert generators.tobytes() == np.stack(alone).tobytes()
+    steps = lindblad._rk4_step(generators, dt)
+    assert steps.tobytes() == np.stack([lindblad._rk4_step(k, dt) for k in alone]).tobytes()
+    # the bounds as evolve_many computes them, with math.expm1
+    bounds = [-stop_tol * math.expm1(-rate * 20 * dt) for rate in lindblad._slowest_decay_rate(generators).tolist()]
+    assert bounds == [-stop_tol * math.expm1(-float(lindblad._slowest_decay_rate(k)) * 20 * dt) for k in alone]
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoclass import qmat
 
@@ -146,3 +148,52 @@ def test_validate_rejects_bad_states():
         qmat.validate_density_matrix(np.diag([0.7, 0.7]).astype(complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         qmat.validate_density_matrix(np.diag([1.2, -0.2]).astype(complex))
+
+
+def _single_error(rho, name):
+    """The message with which validate_density_matrix rejects one state, or None."""
+    try:
+        qmat.validate_density_matrix(rho, name)
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+# ways to spoil a state: none, asymmetric coherence, trace off by 1e-12 * 10^k,
+# eigenvalue below the floor by 10^k, and the exact tolerance edges
+_spoil = st.sampled_from(("none", "hermitian", "trace", "eigen", "trace-edge", "eigen-edge"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spoils=st.lists(_spoil, min_size=1, max_size=6),
+       dim=st.sampled_from((2, 4)), scale=st.integers(-2, 2))
+def test_stacked_validation_rejects_exactly_the_single_rejections(seed, spoils, dim, scale):
+    rng = np.random.default_rng(seed)
+    states = []
+    for spoil in spoils:
+        rho = qmat.random_density_matrix(rng, dim)
+        if spoil == "hermitian":
+            rho[0, 1] += 10.0**scale * 1e-12
+        elif spoil == "trace":
+            rho = rho * (1.0 + 10.0**scale * 1e-12)
+        elif spoil == "trace-edge":
+            rho = rho + np.diag([1e-12] + [0.0] * (dim - 1))
+        elif spoil == "eigen":
+            rho = np.diag([1.0 + 10.0**scale * 1e-10] + [0.0] * (dim - 2) + [-(10.0**scale) * 1e-10]).astype(complex)
+        elif spoil == "eigen-edge":
+            rho = np.diag([1.0 + 1e-10] + [0.0] * (dim - 2) + [-1e-10]).astype(complex)
+        states.append(rho)
+    stack = np.stack(states)
+    errors = [_single_error(rho, f"state {j}") for j, rho in enumerate(states)]
+    rejected = [error for error in errors if error is not None]
+    if rejected:
+        with pytest.raises(ValueError) as info:
+            qmat.validate_density_matrix(stack)
+        assert str(info.value) == rejected[0]
+    else:
+        assert qmat.validate_density_matrix(stack) is stack
+    # a stack with two leading axes names both indices of its first bad state
+    if rejected and len(states) > 1 and len(states) % 2 == 0:
+        first = errors.index(rejected[0])
+        with pytest.raises(ValueError, match=rf"^state {first // 2}, {first % 2}: "):
+            qmat.validate_density_matrix(stack.reshape(-1, 2, dim, dim))
