@@ -106,17 +106,24 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "state") -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a density matrix, or of
-    each matrix of a (..., d, d) stack, whose error message then names the
-    index of the first bad state; return rho unchanged."""
+    """Check finite entries, Hermiticity, unit trace and positivity of a
+    density matrix, or of each matrix of a (..., d, d) stack, whose error
+    message then names the index of the first bad state; return rho
+    unchanged."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"{name}: not a square matrix, shape {rho.shape}")
     if rho.shape[-1] not in (2, 4):
         raise ValueError(f"{name}: dimension {rho.shape[-1]} not supported (2 or 4)")
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = np.trace(rho, axis1=-2, axis2=-1)
-    lo = np.linalg.eigvalsh(rho).min(axis=-1)
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if rho.ndim == 2 and not finite:
+        i, j = np.argwhere(~np.isfinite(rho))[0]
+        raise ValueError(f"{name}: entry ({i}, {j}) is {rho[i, j]}, not finite")
+    # a non-finite state of a stack is checked as the zero matrix, whose trace fails
+    values = rho if finite.all() else np.where(finite[..., None, None], rho, 0.0)
+    herm = np.abs(values - values.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(values, axis1=-2, axis2=-1)
+    lo = np.linalg.eigvalsh(values).min(axis=-1)
     if rho.ndim > 2:
         bad = (herm > HERMITICITY_ATOL) | (abs(tr - 1.0) > TRACE_ATOL) | (lo < EIGENVALUE_FLOOR)
         for index in map(tuple, np.argwhere(bad).tolist()):

@@ -376,6 +376,12 @@ def test_evolve_fixed_point_stays_constant():
     assert max(qmat.trace_distance(s, gibbs) for s in traj.states) < 1e-9
 
 
+def test_evolve_rejects_a_nan_initial_state():
+    # NaN passes every tolerance comparison, and eigvalsh gives (0, -0) here
+    with pytest.raises(ValueError, match=r"^initial state: entry \(0, 0\) is \(nan\+0j\), not finite$"):
+        evolve(make_config((2.0,), (0.1,)), [[math.nan, 0.0], [0.0, 1.0]], 10.0, 0.05)
+
+
 @pytest.mark.filterwarnings("error")
 def test_evolve_rejects_unstable_step():
     config = make_config((5.0,), (0.1,))

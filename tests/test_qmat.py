@@ -150,6 +150,21 @@ def test_validate_rejects_bad_states():
         qmat.validate_density_matrix(np.diag([1.2, -0.2]).astype(complex))
 
 
+def test_validate_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match=r"^state: entry \(0, 0\) is \(nan\+0j\), not finite$"):
+        qmat.validate_density_matrix(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"^state: entry \(1, 0\) is \(inf\+0j\), not finite$"):
+        qmat.validate_density_matrix(np.array([[0.5, 0.5], [math.inf, 0.5]]))
+    # a stack names its first bad state, here the non-finite one before a bad trace
+    good = np.diag([1.0, 0.0])
+    stack = np.stack([good, np.diag([0.5, complex(0.5, math.nan)]), np.diag([2.0, 0.0])])
+    with pytest.raises(ValueError, match=r"^state 1: entry \(1, 1\) is \(0\.5\+nanj\), not finite$"):
+        qmat.validate_density_matrix(stack)
+    stack[[1, 2]] = stack[[2, 1]]
+    with pytest.raises(ValueError, match=r"^state 1: trace "):
+        qmat.validate_density_matrix(stack)
+
+
 def _single_error(rho, name):
     """The message with which validate_density_matrix rejects one state, or None."""
     try:
@@ -160,8 +175,8 @@ def _single_error(rho, name):
 
 
 # ways to spoil a state: none, asymmetric coherence, trace off by 1e-12 * 10^k,
-# eigenvalue below the floor by 10^k, and the exact tolerance edges
-_spoil = st.sampled_from(("none", "hermitian", "trace", "eigen", "trace-edge", "eigen-edge"))
+# eigenvalue below the floor by 10^k, the exact tolerance edges, and a NaN entry
+_spoil = st.sampled_from(("none", "hermitian", "trace", "eigen", "trace-edge", "eigen-edge", "nan"))
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,6 +197,8 @@ def test_stacked_validation_rejects_exactly_the_single_rejections(seed, spoils, 
             rho = np.diag([1.0 + 10.0**scale * 1e-10] + [0.0] * (dim - 2) + [-(10.0**scale) * 1e-10]).astype(complex)
         elif spoil == "eigen-edge":
             rho = np.diag([1.0 + 1e-10] + [0.0] * (dim - 2) + [-1e-10]).astype(complex)
+        elif spoil == "nan":
+            rho[-1, 0] = math.nan
         states.append(rho)
     stack = np.stack(states)
     errors = [_single_error(rho, f"state {j}") for j, rho in enumerate(states)]
