@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 # public name -> the submodule that defines it
 _HOMES = {
     **dict.fromkeys((
-        "ClassificationResult", "DecisionRule", "LabeledPoint", "NotSeparable", "Perceptron",
-        "classify", "gamma_sweep", "generate_instances", "instances_table", "perceptron_fit",
-        "thermalization_curves",
+        "ClassificationResult", "DecisionRule", "NotSeparable", "Perceptron", "classify",
+        "gamma_sweep", "generate_instances", "perceptron_fit", "thermalization_curves",
     ), "classifier"),
     **dict.fromkeys(("Trajectory", "boltzmann_temperature"), "channel"),
     **dict.fromkeys(("CollisionConfig", "run_collisions", "run_collisions_many"), "collisions"),

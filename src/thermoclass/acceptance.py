@@ -204,28 +204,27 @@ def check_collision_crosscheck() -> CriterionResult:
 def check_separability() -> CriterionResult:
     """Randomly drawn temperature pairs, labeled by the fixed-threshold rule,
     are linearly separable; the XOR arrangement is correctly refused."""
-    points = classifier.generate_instances(
+    table = classifier.generate_instances(
         classifier.TEMPERATURE_SPACE, 20, ((0.5, 5.5), (0.5, 5.5)),
         seed=42, rule=classifier.DecisionRule.fixed(3.0), fixed=(0.02, 0.02),
     )
-    labels = {p.label for p in points}
-    fit = classifier.perceptron_fit(points, max_epochs=1000)
+    features = list(zip(table.column("t1"), table.column("t2")))
+    labels = table.column("label")
+    fit = classifier.perceptron_fit(features, labels, max_epochs=1000)
     separable = isinstance(fit, classifier.Perceptron) and all(
-        fit.predict(p.features) == (1.0 if p.label == classifier.CLASS_HOT else -1.0)
-        for p in points
+        fit.predict(x) == (1.0 if label == classifier.CLASS_HOT else -1.0)
+        for x, label in zip(features, labels)
     )
-    xor_points = [
-        classifier.LabeledPoint((0.0, 0.0), 0.0, classifier.CLASS_COLD),
-        classifier.LabeledPoint((0.0, 1.0), 0.0, classifier.CLASS_HOT),
-        classifier.LabeledPoint((1.0, 0.0), 0.0, classifier.CLASS_HOT),
-        classifier.LabeledPoint((1.0, 1.0), 0.0, classifier.CLASS_COLD),
-    ]
-    xor_fit = classifier.perceptron_fit(xor_points, max_epochs=1000)
-    ok = len(labels) == 2 and separable and isinstance(xor_fit, classifier.NotSeparable)
+    xor_fit = classifier.perceptron_fit(
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)],
+        [classifier.CLASS_COLD, classifier.CLASS_HOT, classifier.CLASS_HOT, classifier.CLASS_COLD],
+        max_epochs=1000,
+    )
+    ok = len(set(labels)) == 2 and separable and isinstance(xor_fit, classifier.NotSeparable)
     return CriterionResult(
         6, "linear separability of labeled instances",
         ok,
-        f"20 points ({len(labels)} labels), zero training error: {separable}; "
+        f"20 points ({len(set(labels))} labels), zero training error: {separable}; "
         f"XOR refused: {isinstance(xor_fit, classifier.NotSeparable)}",
     )
 

@@ -6,10 +6,8 @@ separable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,20 +70,6 @@ class ClassificationResult:
     label: str
 
 
-class LabeledPoint(NamedTuple):
-    """One labeled instance; a plain tuple, so that large sets build fast."""
-
-    features: tuple
-    steady_temperature: float
-    label: str
-    threshold: float | None = None
-
-
-# a LabeledPoint from a 4-tuple of its fields: what LabeledPoint._make does,
-# without a Python-level call per point
-_labeled_point = functools.partial(tuple.__new__, LabeledPoint)
-
-
 def _label(temperatures: np.ndarray, rates: np.ndarray, rule: DecisionRule, omega: float) -> tuple:
     """Steady temperatures, thresholds and labels of (n, k) reservoir sets;
     the threshold comparison is inclusive on the hot side."""
@@ -139,10 +123,24 @@ def gamma_sweep(
     return ResultTable(columns=["delta_gamma", "gamma1", "gamma2", "steady_temperature"], rows=rows)
 
 
-def _instance_columns(space: str, n: int, ranges, seed: int, rule: DecisionRule, fixed, omega: float) -> tuple:
+def generate_instances(
+    space: str,
+    n: int,
+    ranges,
+    seed: int,
+    rule: DecisionRule,
+    fixed,
+    omega: float = 1.0,
+) -> ResultTable:
     """Draw n uniform feature pairs and label each by its steady temperature;
-    returns the columns x1, x2, steady temperature, threshold and label as
-    lists. See generate_instances for the arguments."""
+    returns a table with one row per instance: the two features (gamma1,
+    gamma2 or t1, t2), the steady temperature, the threshold and the label.
+
+    space="temperature": features are bath temperatures, fixed = the two
+    coupling rates; space="gamma": features are coupling rates, fixed = the
+    two bath temperatures. ranges is ((lo, hi), (lo, hi)) per feature axis.
+    Identical seeds reproduce identical tables bit for bit.
+    """
     if n < 1:
         raise ValueError(f"need at least one instance, got n={n}")
     (lo1, hi1), (lo2, hi2) = ranges
@@ -170,45 +168,10 @@ def _instance_columns(space: str, n: int, ranges, seed: int, rule: DecisionRule,
     features = np.column_stack((x1, x2))
     pinned = np.tile(fixed, (n, 1))
     temps, rates = (pinned, features) if space == GAMMA_SPACE else (features, pinned)
-    return (x1.tolist(), x2.tolist(), *_label(temps, rates, rule, omega))
-
-
-def generate_instances(
-    space: str,
-    n: int,
-    ranges,
-    seed: int,
-    rule: DecisionRule,
-    fixed,
-    omega: float = 1.0,
-) -> list[LabeledPoint]:
-    """Draw n uniform feature pairs and label each by its steady temperature.
-
-    space="temperature": features are bath temperatures, fixed = the two
-    coupling rates; space="gamma": features are coupling rates, fixed = the
-    two bath temperatures. ranges is ((lo, hi), (lo, hi)) per feature axis.
-    Identical seeds reproduce identical point sets bit for bit.
-    """
-    x1, x2, t_ss, thresholds, labels = _instance_columns(space, n, ranges, seed, rule, fixed, omega)
-    return list(map(_labeled_point, zip(zip(x1, x2), t_ss, labels, thresholds)))
-
-
-def instances_table(
-    space: str,
-    n: int,
-    ranges,
-    seed: int,
-    rule: DecisionRule,
-    fixed,
-    omega: float = 1.0,
-) -> ResultTable:
-    """The instances of generate_instances with the same arguments, as a
-    table with one row per instance: the two features (gamma1, gamma2 or
-    t1, t2), the steady temperature, the threshold and the label."""
-    x1, x2, t_ss, thresholds, labels = _instance_columns(space, n, ranges, seed, rule, fixed, omega)
+    t_ss, thresholds, labels = _label(temps, rates, rule, omega)
     return ResultTable(
         columns=[*_FEATURE_NAMES[space], "steady_temperature", "threshold", "label"],
-        rows=list(zip(x1, x2, t_ss, thresholds, labels)),
+        rows=list(zip(x1.tolist(), x2.tolist(), t_ss, thresholds, labels)),
     )
 
 
@@ -244,8 +207,9 @@ class NotSeparable:
 _LABEL_SIGN = {CLASS_HOT: 1.0, CLASS_COLD: -1.0}
 
 
-def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
-    """Rosenblatt training on labeled points until zero training error.
+def perceptron_fit(features, labels, max_epochs: int = 1000) -> Perceptron | NotSeparable:
+    """Rosenblatt training on an (n, d) feature array and the n class names
+    (CLASS_HOT or CLASS_COLD) of its rows, until zero training error.
 
     Features are standardized to zero mean and unit variance internally
     (raw rate and temperature scales differ by two orders of magnitude and
@@ -259,11 +223,17 @@ def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
     the full epoch budget would give, with the error count of the cycle's
     epoch that falls on max_epochs.
     """
-    points = list(points)
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    x = np.array([p.features for p in points], dtype=float)
-    y = np.array([_LABEL_SIGN[p.label] for p in points])
+    x = np.array(features, dtype=float)
+    if x.ndim != 2 or len(x) < 2:
+        raise ValueError(f"need an (n, d) feature array of at least two points, got shape {x.shape}")
+    if len(labels) != len(x):
+        raise ValueError(f"{len(x)} feature rows but {len(labels)} labels")
+    signs = [_LABEL_SIGN.get(label) for label in labels]
+    if None in signs:
+        raise ValueError(
+            f"labels must be {CLASS_HOT!r} or {CLASS_COLD!r}, got {labels[signs.index(None)]!r}"
+        )
+    y = np.array(signs)
 
     if np.all(y == y[0]):
         return Perceptron(weights=(0.0,) * x.shape[1], bias=float(y[0]))
@@ -275,7 +245,7 @@ def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
 
     w = np.zeros(x.shape[1])
     b = 0.0
-    errors = len(points)
+    errors = len(x)
     started = {}  # the state each epoch started from -> the epoch's index in counts
     counts = []  # the error count of each epoch so far
     for _ in range(max_epochs):
@@ -297,7 +267,7 @@ def perceptron_fit(points, max_epochs: int = 1000) -> Perceptron | NotSeparable:
             raw_b = float(b - np.sum(w * mean / std))
             fitted = Perceptron(weights=tuple(raw_w), bias=raw_b)
             # the raw-space check can only fail on exact-zero score ties
-            if all(fitted.predict(p.features) == _LABEL_SIGN[p.label] for p in points):
+            if all(fitted.predict(xi) == yi for xi, yi in zip(x, y)):
                 return fitted
             errors = 1
         counts.append(errors)

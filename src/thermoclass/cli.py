@@ -256,7 +256,7 @@ def _cmd_classify_gamma(config: RunConfig, args) -> ResultTable:
 
     s = config.settings
     rule = _decision_rule(s)
-    return classifier.instances_table(
+    return classifier.generate_instances(
         classifier.GAMMA_SPACE, s["n"],
         ((s["gamma_min"], s["gamma_max"]), (s["gamma_min"], s["gamma_max"])),
         seed=s["seed"], rule=rule, fixed=(s["t1"], s["t2"]), omega=s["omega"],
@@ -268,7 +268,7 @@ def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
 
     s = config.settings
     rule = _decision_rule(s)
-    return classifier.instances_table(
+    return classifier.generate_instances(
         classifier.TEMPERATURE_SPACE, s["n"],
         ((s["t_min"], s["t_max"]), (s["t_min"], s["t_max"])),
         seed=s["seed"], rule=rule, fixed=(s["gamma"], s["gamma"]), omega=s["omega"],
@@ -470,6 +470,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: config: {_one_line(exc)}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: config: out of memory: {_one_line(exc)}", file=sys.stderr)
         return 2
 
 

@@ -152,8 +152,9 @@ def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1
 
     y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
     marks, coords, _ = channel.propagate(y0, blocks, record_every)
+    # copied out, so that no trajectory keeps propagate's whole record buffer alive
     return [
-        Trajectory(times=marks, coords=coords[:, j, :, 0], omega=config.frequency)
+        Trajectory(times=marks, coords=coords[:, j, :, 0].copy(), omega=config.frequency)
         for j, config in enumerate(configs)
     ]
 

@@ -10,18 +10,15 @@ from thermoclass.classifier import (
     GAMMA_SPACE,
     TEMPERATURE_SPACE,
     DecisionRule,
-    LabeledPoint,
     NotSeparable,
     Perceptron,
     classify,
     gamma_sweep,
     generate_instances,
-    instances_table,
     perceptron_fit,
     step,
     thermalization_curves,
 )
-from thermoclass.tables import ResultTable, render_csv
 
 
 def test_decision_rule_validation():
@@ -108,33 +105,28 @@ def test_generate_instances_deterministic():
 
 def test_generate_instances_validation():
     rule = DecisionRule.fixed(3.0)
-    for make in (generate_instances, instances_table):
-        with pytest.raises(ValueError):
-            make(TEMPERATURE_SPACE, 0, ((0.5, 5.5), (0.5, 5.5)), 1, rule, (0.02, 0.02))
-        with pytest.raises(ValueError, match="weak-coupling"):
-            make(GAMMA_SPACE, 5, ((0.01, 0.5), (0.01, 0.5)), 1, rule, (3.0, 1.0))
-        with pytest.raises(ValueError, match="space"):
-            make("rates", 5, ((0.01, 0.1), (0.01, 0.1)), 1, rule, (3.0, 1.0))
+    with pytest.raises(ValueError):
+        generate_instances(TEMPERATURE_SPACE, 0, ((0.5, 5.5), (0.5, 5.5)), 1, rule, (0.02, 0.02))
+    with pytest.raises(ValueError, match="weak-coupling"):
+        generate_instances(GAMMA_SPACE, 5, ((0.01, 0.5), (0.01, 0.5)), 1, rule, (3.0, 1.0))
+    with pytest.raises(ValueError, match="space"):
+        generate_instances("rates", 5, ((0.01, 0.1), (0.01, 0.1)), 1, rule, (3.0, 1.0))
 
 
 def test_generate_instances_labels_match_direct_classification():
     rule = DecisionRule.fixed(3.0)
-    points = generate_instances(
+    table = generate_instances(
         TEMPERATURE_SPACE, 10, ((0.5, 5.5), (0.5, 5.5)), 7, rule, (0.02, 0.02)
     )
-    for p in points:
-        direct = classify(lindblad.make_config(p.features, (0.02, 0.02)), rule)
-        assert p.label == direct.label
-        assert p.steady_temperature == direct.steady_temperature
-        assert p.threshold == direct.threshold
+    for t1, t2, t_ss, threshold, label in table.rows:
+        direct = classify(lindblad.make_config((t1, t2), (0.02, 0.02)), rule)
+        assert (t_ss, threshold, label) == (direct.steady_temperature, direct.threshold, direct.label)
     # rate space: the instance-mean threshold is the mean of the fixed temperatures
     rule = DecisionRule.instance_mean()
-    points = generate_instances(GAMMA_SPACE, 10, ((0.005, 0.1), (0.005, 0.1)), 7, rule, (3.0, 1.0))
-    for p in points:
-        direct = classify(lindblad.make_config((3.0, 1.0), p.features), rule)
-        assert (p.steady_temperature, p.threshold, p.label) == (
-            direct.steady_temperature, 2.0, direct.label
-        )
+    table = generate_instances(GAMMA_SPACE, 10, ((0.005, 0.1), (0.005, 0.1)), 7, rule, (3.0, 1.0))
+    for gamma1, gamma2, t_ss, threshold, label in table.rows:
+        direct = classify(lindblad.make_config((3.0, 1.0), (gamma1, gamma2)), rule)
+        assert (t_ss, threshold, label) == (direct.steady_temperature, 2.0, direct.label)
 
 
 # (space, ranges, rule, fixed): both spaces under both rules. Temperature
@@ -151,24 +143,8 @@ INSTANCE_CASES = [
 
 @pytest.mark.parametrize("n", [1, 2, 1000])
 @pytest.mark.parametrize("space, ranges, rule, fixed", INSTANCE_CASES)
-def test_instances_table_renders_the_points_of_generate_instances(space, ranges, rule, fixed, n):
-    args = (space, n, ranges, 11, rule, fixed)
-    points = generate_instances(*args)
-    table = instances_table(*args)
-    names = ("gamma1", "gamma2") if space == GAMMA_SPACE else ("t1", "t2")
-    expected = ResultTable(
-        columns=[*names, "steady_temperature", "threshold", "label"],
-        rows=[(*features, t_ss, threshold, label) for features, t_ss, label, threshold in points],
-    )
-    assert table.columns == expected.columns
-    # line by line: pytest's diff of two long unequal strings takes minutes
-    assert render_csv(table).splitlines() == render_csv(expected).splitlines()
-
-
-@pytest.mark.parametrize("n", [1, 2, 1000])
-@pytest.mark.parametrize("space, ranges, rule, fixed", INSTANCE_CASES)
 def test_generate_instances_equals_points_built_one_at_a_time(space, ranges, rule, fixed, n):
-    points = generate_instances(space, n, ranges, 11, rule, fixed)
+    table = generate_instances(space, n, ranges, 11, rule, fixed)
     rng = np.random.default_rng(11)
     x = np.column_stack([rng.uniform(lo, hi, n) for lo, hi in ranges])
     pinned = np.tile(fixed, (n, 1))
@@ -178,18 +154,21 @@ def test_generate_instances_equals_points_built_one_at_a_time(space, ranges, rul
     expected = []
     for i in range(n):
         label = CLASS_HOT if t_ss[i] >= thresholds[i] else CLASS_COLD
-        expected.append(LabeledPoint(tuple(x[i].tolist()), t_ss[i], label, thresholds[i]))
-    assert points == expected
-    assert all(type(p) is LabeledPoint and type(p.label) is str for p in points)
+        expected.append((*x[i].tolist(), t_ss[i], thresholds[i], label))
+    names = ("gamma1", "gamma2") if space == GAMMA_SPACE else ("t1", "t2")
+    assert table.columns == [*names, "steady_temperature", "threshold", "label"]
+    assert table.rows == expected
+    # plain Python cells: render_csv picks each column's format from its type
+    assert all(list(map(type, row)) == [float] * 4 + [str] for row in table.rows)
 
 
 def test_instances_at_the_threshold_are_labeled_hot():
     # equal bath temperatures: the steady temperature is exactly their value
-    table = instances_table(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
-                            DecisionRule.instance_mean(), (2.5, 2.5))
+    table = generate_instances(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
+                               DecisionRule.instance_mean(), (2.5, 2.5))
     assert [row[2:] for row in table.rows] == [(2.5, 2.5, CLASS_HOT)] * 3
-    table = instances_table(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
-                            DecisionRule.fixed(2.5), (2.5, 2.5))
+    table = generate_instances(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
+                               DecisionRule.fixed(2.5), (2.5, 2.5))
     assert [row[2:] for row in table.rows] == [(2.5, 2.5, CLASS_HOT)] * 3
 
 
@@ -212,33 +191,24 @@ def test_activation():
 
 
 def test_perceptron_two_points():
-    points = [
-        LabeledPoint((1.0, 2.0), 2.5, CLASS_HOT),
-        LabeledPoint((4.0, 0.5), 1.5, CLASS_COLD),
-    ]
-    fitted = perceptron_fit(points)
+    fitted = perceptron_fit([(1.0, 2.0), (4.0, 0.5)], [CLASS_HOT, CLASS_COLD])
     assert isinstance(fitted, Perceptron)
     assert fitted.predict((1.0, 2.0)) == 1.0
     assert fitted.predict((4.0, 0.5)) == -1.0
 
 
 def test_perceptron_xor_not_separable():
-    points = [
-        LabeledPoint((0.0, 0.0), 0.0, CLASS_COLD),
-        LabeledPoint((0.0, 1.0), 0.0, CLASS_HOT),
-        LabeledPoint((1.0, 0.0), 0.0, CLASS_HOT),
-        LabeledPoint((1.0, 1.0), 0.0, CLASS_COLD),
-    ]
-    result = perceptron_fit(points, max_epochs=500)
+    result = perceptron_fit([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)],
+                            [CLASS_COLD, CLASS_HOT, CLASS_HOT, CLASS_COLD], max_epochs=500)
     assert isinstance(result, NotSeparable)
     assert result.epochs == 500
     assert result.errors == 4
 
 
-def _perceptron_fit_full_budget(points, max_epochs):
+def _perceptron_fit_full_budget(features, labels, max_epochs):
     """perceptron_fit as a loop that runs every epoch of its budget."""
-    x = np.array([p.features for p in points], dtype=float)
-    y = np.array([1.0 if p.label == CLASS_HOT else -1.0 for p in points])
+    x = np.array(features, dtype=float)
+    y = np.array([1.0 if label == CLASS_HOT else -1.0 for label in labels])
     if np.all(y == y[0]):
         return Perceptron(weights=(0.0,) * x.shape[1], bias=float(y[0]))
     mean = x.mean(axis=0)
@@ -247,7 +217,7 @@ def _perceptron_fit_full_budget(points, max_epochs):
     xs = (x - mean) / std
     w = np.zeros(x.shape[1])
     b = 0.0
-    errors = len(points)
+    errors = len(x)
     for _ in range(max_epochs):
         errors = 0
         for xi, yi in zip(xs, y):
@@ -276,9 +246,10 @@ _grid = st.sampled_from((0.0, 0.1, 1.0 / 3.0, 0.5, 1.0, 2.0, 3.0))
 # a zero-error epoch whose raw-space check fails on a score tie: a cycle of period 1
 @example(points=[(3.0, 1.0 / 3.0, True), (3.0, 2.0, False)], max_epochs=3)
 def test_perceptron_cycle_stop_gives_the_full_budget_result(points, max_epochs):
-    points = [LabeledPoint((x1, x2), 0.0, CLASS_HOT if hot else CLASS_COLD) for x1, x2, hot in points]
-    fitted = perceptron_fit(points, max_epochs)
-    expected = _perceptron_fit_full_budget(points, max_epochs)
+    features = [(x1, x2) for x1, x2, _ in points]
+    labels = [CLASS_HOT if hot else CLASS_COLD for _, _, hot in points]
+    fitted = perceptron_fit(features, labels, max_epochs)
+    expected = _perceptron_fit_full_budget(features, labels, max_epochs)
     assert type(fitted) is type(expected)
     if isinstance(expected, Perceptron):
         assert np.array(fitted.weights).tobytes() == np.array(expected.weights).tobytes()
@@ -287,30 +258,53 @@ def test_perceptron_cycle_stop_gives_the_full_budget_result(points, max_epochs):
         assert fitted == expected
 
 
-
 def test_perceptron_single_label_short_circuit():
-    points = [
-        LabeledPoint((1.0, 1.0), 4.0, CLASS_HOT),
-        LabeledPoint((2.0, 3.0), 5.0, CLASS_HOT),
-    ]
-    fitted = perceptron_fit(points)
+    features = [(1.0, 1.0), (2.0, 3.0)]
+    fitted = perceptron_fit(features, [CLASS_HOT, CLASS_HOT])
     assert isinstance(fitted, Perceptron)
-    assert all(fitted.predict(p.features) == 1.0 for p in points)
-    with pytest.raises(ValueError):
-        perceptron_fit(points[:1])
+    assert all(fitted.predict(x) == 1.0 for x in features)
+
+
+@pytest.mark.parametrize("features, labels, message", [
+    ([(1.0, 1.0)], [CLASS_HOT], "at least two points"),
+    ([], [], "at least two points"),
+    ([1.0, 2.0], [CLASS_HOT, CLASS_COLD], "at least two points"),
+    ([(1.0, 1.0), (2.0, 3.0)], [CLASS_HOT], "2 feature rows but 1 labels"),
+    ([(1.0, 1.0), (2.0, 3.0)], [CLASS_HOT, "class3"], "'class3'"),
+    ([(1.0, 1.0), (2.0, 3.0)], [CLASS_HOT, 1.0], "got 1.0"),
+])
+def test_perceptron_fit_validation(features, labels, message):
+    with pytest.raises(ValueError, match=message) as info:
+        perceptron_fit(features, labels)
+    assert "\n" not in str(info.value)
 
 
 def test_perceptron_separates_labeled_temperature_instances():
-    points = generate_instances(
+    table = generate_instances(
         TEMPERATURE_SPACE, 20, ((0.5, 5.5), (0.5, 5.5)), 42,
         DecisionRule.fixed(3.0), (0.02, 0.02),
     )
-    assert {p.label for p in points} == {CLASS_HOT, CLASS_COLD}
-    fitted = perceptron_fit(points, max_epochs=1000)
+    features = [row[:2] for row in table.rows]
+    labels = table.column("label")
+    assert set(labels) == {CLASS_HOT, CLASS_COLD}
+    fitted = perceptron_fit(features, labels, max_epochs=1000)
     assert isinstance(fitted, Perceptron)
-    for p in points:
-        expected = 1.0 if p.label == CLASS_HOT else -1.0
-        assert fitted.predict(p.features) == expected
+    assert fitted == _perceptron_fit_full_budget(features, labels, 1000)
+    for x, label in zip(features, labels):
+        assert fitted.predict(x) == (1.0 if label == CLASS_HOT else -1.0)
+
+
+def test_perceptron_fit_takes_lists_and_arrays_alike():
+    table = generate_instances(
+        TEMPERATURE_SPACE, 20, ((0.5, 5.5), (0.5, 5.5)), 42,
+        DecisionRule.fixed(3.0), (0.02, 0.02),
+    )
+    labels = table.column("label")
+    rows = [row[:2] for row in table.rows]
+    fitted = perceptron_fit(rows, labels)
+    assert isinstance(fitted, Perceptron)
+    assert perceptron_fit(np.array(rows), np.array(labels)) == fitted
+    assert perceptron_fit(list(map(list, rows)), tuple(labels)) == fitted
 
 
 def test_perceptron_recovers_random_separable_sets():
@@ -321,13 +315,10 @@ def test_perceptron_recovers_random_separable_sets():
         x = rng.uniform(-3, 3, size=(30, 2))
         scores = x @ w + b
         keep = np.abs(scores) > 0.05  # leave a margin so separability is clear
-        points = [
-            LabeledPoint(tuple(xi), 0.0, CLASS_HOT if s > 0 else CLASS_COLD)
-            for xi, s in zip(x[keep], scores[keep])
-        ]
-        if len({p.label for p in points}) < 2:
+        labels = [CLASS_HOT if s > 0 else CLASS_COLD for s in scores[keep]]
+        if len(set(labels)) < 2:
             continue
-        fitted = perceptron_fit(points, max_epochs=2000)
+        fitted = perceptron_fit(x[keep], labels, max_epochs=2000)
         assert isinstance(fitted, Perceptron)
-        for p in points:
-            assert fitted.predict(p.features) == (1.0 if p.label == CLASS_HOT else -1.0)
+        for xi, label in zip(x[keep], labels):
+            assert fitted.predict(xi) == (1.0 if label == CLASS_HOT else -1.0)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -266,6 +267,59 @@ def test_step_counts_beyond_maxsize_exit_2_with_one_line(tmp_path, capsys, comma
     assert err.startswith("error: config:") and count in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# each count fits an int but its float64 array would not fit in memory: numpy
+# refuses the allocation at once, before touching any memory
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, text", [
+    ("classify-temp", "n = 1000000000000000000\n"),
+    ("classify-gamma", "n = 1000000000000000000\n"),
+    ("sweep-gamma", "n_points = 1000000000000000000\n"),
+])
+def test_counts_beyond_memory_exit_2_with_one_line(tmp_path, capsys, command, text):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: out of memory:") and "Unable to allocate" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bare_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    from thermoclass import classifier
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(classifier, "generate_instances", out_of_memory)
+    out = tmp_path / "out.csv"
+    assert run(["classify-temp", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: out of memory") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify-temp", "classify-gamma"])
+def test_classify_calls_generate_instances_once_with_the_config_n(tmp_path, monkeypatch, command):
+    # the benchmark's tracer counts classify's instances by wrapping
+    # classifier.generate_instances and reading its bound argument n
+    from thermoclass import classifier
+
+    original = classifier.generate_instances
+    counts = []
+
+    def counting(*args, **kwargs):
+        counts.append(inspect.signature(original).bind(*args, **kwargs).arguments["n"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classifier, "generate_instances", counting)
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n = 37\n")
+    assert run([command, "--config", str(cfg)]) == 0
+    assert counts == [37]
 
 
 @pytest.mark.filterwarnings("error")

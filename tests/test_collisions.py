@@ -202,6 +202,15 @@ def test_run_collisions_recording():
         run_collisions(qmat.ground_state(), basic_config(), n=0)
 
 
+@pytest.mark.parametrize("schedule", SCHEDULES)
+def test_trajectories_own_their_coordinates(schedule):
+    # 4097 records sit in a record buffer of 8192 rows; no trajectory keeps it alive
+    config = CollisionConfig(1.0, 0.05, 1.0, ((2.0, 0.5), (1.0, 0.5)), schedule=schedule, seed=3)
+    for traj in run_collisions_many(qmat.ground_state(), [config, config], n=4096):
+        assert traj.coords.base is None
+        assert traj.coords.nbytes == 4097 * 4 * 8
+
+
 def test_homogenization_reaches_reservoir_gibbs():
     # weak coupling J*tau = 0.05: converges to the ancilla state at the edges
     # of the working temperature range

@@ -12,9 +12,9 @@ import thermoclass
 
 # every public name and the submodule it comes from
 HOMES = {
-    "classifier": ("ClassificationResult", "DecisionRule", "LabeledPoint", "NotSeparable",
-                   "Perceptron", "classify", "gamma_sweep", "generate_instances",
-                   "instances_table", "perceptron_fit", "thermalization_curves"),
+    "classifier": ("ClassificationResult", "DecisionRule", "NotSeparable", "Perceptron",
+                   "classify", "gamma_sweep", "generate_instances", "perceptron_fit",
+                   "thermalization_curves"),
     "channel": ("Trajectory", "boltzmann_temperature"),
     "collisions": ("CollisionConfig", "run_collisions", "run_collisions_many"),
     "errors": ("ConfigError", "GuardViolation"),
