@@ -15,16 +15,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, GuardViolation
 from .tables import ResultTable, format_value, write_csv
-
-if TYPE_CHECKING:
-    from . import classifier
 
 
 def _parse_float(text: str) -> float:
@@ -203,20 +199,6 @@ def _metadata(config: RunConfig) -> dict:
     return meta
 
 
-def _decision_rule(settings) -> classifier.DecisionRule:
-    from . import classifier
-
-    if settings["rule"] == "instance_mean":
-        if settings.get("theta") is not None:
-            raise ConfigError("theta is only meaningful with rule = fixed_threshold")
-        return classifier.DecisionRule.instance_mean()
-    if settings["rule"] == "fixed_threshold":
-        if settings.get("theta") is None:
-            raise ConfigError("rule = fixed_threshold requires theta")
-        return classifier.DecisionRule.fixed(settings["theta"])
-    raise ConfigError(f"unknown rule {settings['rule']!r}")
-
-
 def _cmd_steady(config: RunConfig, args) -> ResultTable:
     from . import lindblad
 
@@ -255,7 +237,7 @@ def _cmd_classify_gamma(config: RunConfig, args) -> ResultTable:
     from . import classifier
 
     s = config.settings
-    rule = _decision_rule(s)
+    rule = classifier.DecisionRule(s["rule"], s["theta"])
     return classifier.generate_instances(
         classifier.GAMMA_SPACE, s["n"],
         ((s["gamma_min"], s["gamma_max"]), (s["gamma_min"], s["gamma_max"])),
@@ -267,7 +249,7 @@ def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
     from . import classifier
 
     s = config.settings
-    rule = _decision_rule(s)
+    rule = classifier.DecisionRule(s["rule"], s["theta"])
     return classifier.generate_instances(
         classifier.TEMPERATURE_SPACE, s["n"],
         ((s["t_min"], s["t_max"]), (s["t_min"], s["t_max"])),

@@ -131,32 +131,12 @@ def _baths(configs) -> tuple:
     return np.array([config.omega_s for config in configs]), temperatures, occupations, rates
 
 
-def lindblad_rhs(config: SystemConfig, rho: np.ndarray) -> np.ndarray:
-    """d(rho)/dt: coherent rotation plus one thermal dissipator pair per bath.
-
-    The result is Hermitian and traceless for Hermitian input.
-    """
-    omegas, _, occupations, rates = _baths([config])
-    return _apply_generators(omegas, occupations, rates, np.asarray(rho, dtype=complex)[None])[0]
-
-
 def _real_generators(omegas, occupations, rates) -> np.ndarray:
     """The (b, 4, 4) real generators of b configurations (see
     _apply_generators for the arguments), all built in one pass over the
     coordinate basis."""
     out = _apply_generators(omegas, occupations, rates, channel.BASIS[None], _BASIS_DISSIPATORS)
     return channel.to_coords(out).swapaxes(1, 2).copy()
-
-
-def real_generator(config: SystemConfig) -> np.ndarray:
-    """4x4 real matrix K with dy/dt = K y on (p_e, p_g, Re c, Im c).
-
-    Its columns are the master-equation right-hand side applied to the
-    coordinate basis variations, all four in one stacked call, so it is the
-    same linear map as lindblad_rhs by construction.
-    """
-    omegas, _, occupations, rates = _baths([config])
-    return _real_generators(omegas, occupations, rates)[0]
 
 
 def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:
@@ -247,12 +227,6 @@ def steady_populations(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     steady_temperatures it validates nothing."""
     ratio = 1.0 + _rate_ratios(np.asarray(temperatures, dtype=float), np.asarray(rates, dtype=float), omega)
     return 1.0 / (1.0 + ratio)
-
-
-def steady_state(config: SystemConfig) -> np.ndarray:
-    """Diagonal steady state diag(p_e, p_g); coherences are fully damped."""
-    p_e = float(steady_populations([config.temperatures], [config.rates], config.omega_s)[0])
-    return np.diag([p_e, 1.0 - p_e]).astype(complex)
 
 
 def steady_temperature(config: SystemConfig) -> float:

@@ -1,9 +1,32 @@
 """Direct, one-matrix-at-a-time forms of the maps the package builds in
-batches, which the tests compare against."""
+batches, which the tests compare against, and the package's batched builds
+applied to one configuration alone."""
 
 import numpy as np
 
-from thermoclass import channel, collisions, qmat
+from thermoclass import channel, collisions, lindblad, qmat
+
+
+def lindblad_rhs(config, rho: np.ndarray) -> np.ndarray:
+    """d(rho)/dt of one configuration on one 2x2 matrix: coherent rotation
+    plus one thermal dissipator pair per bath, through the package's batched
+    generator action. Hermitian and traceless for Hermitian input."""
+    omegas, _, occupations, rates = lindblad._baths([config])
+    return lindblad._apply_generators(omegas, occupations, rates, np.asarray(rho, dtype=complex)[None])[0]
+
+
+def real_generator(config) -> np.ndarray:
+    """The 4x4 real generator K, dy/dt = K y on (p_e, p_g, Re c, Im c), that
+    evolve_many builds for one configuration alone."""
+    omegas, _, occupations, rates = lindblad._baths([config])
+    return lindblad._real_generators(omegas, occupations, rates)[0]
+
+
+def steady_state(config) -> np.ndarray:
+    """Diagonal closed-form steady state diag(p_e, p_g) of one configuration;
+    its coherences are fully damped."""
+    p_e = float(lindblad.steady_populations([config.temperatures], [config.rates], config.omega_s)[0])
+    return np.diag([p_e, 1.0 - p_e]).astype(complex)
 
 
 def matrix_of(linear_map) -> np.ndarray:

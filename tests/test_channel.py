@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import collision_maps
+from oracles import collision_maps, real_generator
 from thermoclass import channel, collisions, lindblad, qmat
 
 
@@ -146,7 +146,7 @@ def test_evolve_many_matches_step_by_step(seed, configs, shared, steps, record_s
     check_every = 20  # one time unit
     for config, rho0, traj in zip(configs, rho0s, trajs):
         # each configuration stepped alone, one RK4 matrix per step
-        generator = lindblad.real_generator(config)
+        generator = real_generator(config)
         step = lindblad._rk4_step(generator, dt)
         bound = None
         if stop_tol is not None:

@@ -19,6 +19,7 @@ from thermoclass.classifier import (
     step,
     thermalization_curves,
 )
+from thermoclass.errors import GuardViolation
 
 
 def test_decision_rule_validation():
@@ -89,7 +90,7 @@ def test_gamma_sweep_endpoints_and_monotonicity():
 def test_gamma_sweep_validation():
     with pytest.raises(ValueError):
         gamma_sweep(3.0, 1.0, 0.08, n_points=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         gamma_sweep(3.0, 1.0, 0.0)
 
 
@@ -107,7 +108,7 @@ def test_generate_instances_validation():
     rule = DecisionRule.fixed(3.0)
     with pytest.raises(ValueError):
         generate_instances(TEMPERATURE_SPACE, 0, ((0.5, 5.5), (0.5, 5.5)), 1, rule, (0.02, 0.02))
-    with pytest.raises(ValueError, match="weak-coupling"):
+    with pytest.raises(GuardViolation, match="bath 0 rate 0.5 exceeds the weak-coupling"):
         generate_instances(GAMMA_SPACE, 5, ((0.01, 0.5), (0.01, 0.5)), 1, rule, (3.0, 1.0))
     with pytest.raises(ValueError, match="space"):
         generate_instances("rates", 5, ((0.01, 0.1), (0.01, 0.1)), 1, rule, (3.0, 1.0))

@@ -72,13 +72,61 @@ def test_unknown_key_exits_2_with_single_line_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_guard_violation_exits_3_without_partial_output(tmp_path, capsys):
+# every subcommand that takes a rate above the weak-coupling guard 0.2 omega
+@pytest.mark.parametrize("command, text", [
+    ("steady", "gammas = 0.3, 0.3\n"),
+    ("thermalize", "rate_pairs = 0.1 0.1; 0.3 0.1\n"),
+    ("sweep-gamma", "gamma_total = 0.5\n"),
+    ("classify-gamma", "gamma_max = 0.5\n"),
+    ("classify-temp", "gamma = 0.5\n"),
+])
+def test_guard_violation_exits_3_without_partial_output(tmp_path, capsys, command, text):
     cfg = tmp_path / "strong.cfg"
-    cfg.write_text("gammas = 0.3, 0.3\n")
+    cfg.write_text(text)
     out = tmp_path / "never.csv"
-    assert run(["steady", "--config", str(cfg), "--out", str(out)]) == 3
-    assert capsys.readouterr().err.startswith("error: guard:")
+    assert run([command, "--config", str(cfg), "--out", str(out), "--svg"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: guard:") and "weak-coupling guard" in err
+    assert err.count("\n") == 1
+    assert not out.exists() and not out.with_suffix(".svg").exists()
+
+
+# rate / omega is exactly 0.2 here, while rate > 0.2 * omega: each command
+# applies the guard in SystemConfig's form and accepts the rate
+@pytest.mark.parametrize("command, text", [
+    ("steady", "gammas = 0.955045582280711, 0.955045582280711\n"),
+    ("sweep-gamma", "gamma_total = 0.955045582280711\n"),
+    ("classify-gamma", "gamma_max = 0.955045582280711\n"),
+])
+def test_rate_at_the_weak_coupling_boundary_runs(tmp_path, capsys, command, text):
+    cfg = tmp_path / "boundary.cfg"
+    cfg.write_text("omega = 4.7752279114035545\n" + text)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("classify-gamma", "rule = nearest\n", "unknown decision rule mode 'nearest'"),
+    ("classify-temp", "rule = nearest\n", "unknown decision rule mode 'nearest'"),
+    ("classify-gamma", "rule = fixed_threshold\n", "fixed_threshold requires a finite theta > 0, got None"),
+    ("classify-temp", "theta = -1\n", "fixed_threshold requires a finite theta > 0, got -1.0"),
+    ("classify-gamma", "theta = 2\n", "instance_mean takes no theta"),
+])
+def test_bad_decision_rule_exits_2_without_output(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "never.csv"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config: {message}\n"
     assert not out.exists()
+
+
+def test_classify_gamma_runs_with_a_fixed_threshold(tmp_path):
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text("rule = fixed_threshold\ntheta = 2\n")
+    out = tmp_path / "instances.csv"
+    assert run(["classify-gamma", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv(out).column("threshold") == [2.0] * 20
 
 
 def test_invalid_parameter_exits_2(tmp_path, capsys):

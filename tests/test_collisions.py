@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collision_maps, single_collision
+from oracles import collision_maps, lindblad_rhs, single_collision
 from thermoclass import collisions, lindblad, qmat
 from thermoclass.collisions import (
     SCHEDULES,
@@ -95,7 +95,7 @@ def test_single_collision_heats_ground_state():
     out = one_collision(qmat.ground_state(), 2.0, basic_config())
     assert out[0, 0].real > 0.0
     # same sign as the continuous dynamics from the same start
-    rhs = lindblad.lindblad_rhs(lindblad.make_config((2.0,), (0.1,)), qmat.ground_state())
+    rhs = lindblad_rhs(lindblad.make_config((2.0,), (0.1,)), qmat.ground_state())
     assert rhs[0, 0].real > 0.0
 
 
@@ -250,13 +250,9 @@ def test_sampled_schedule_agrees_with_mixture_on_average():
     temps, rates = (3.0, 1.0), (0.1, 0.1)
     mixture = mixture_config(rates, temps)
     target = run_collisions(qmat.ground_state(), mixture, n=2500, record_every=2500).final_temperature
-    finals = []
-    for seed in range(200):
-        sampled = mixture_config(rates, temps, schedule="sampled", seed=seed)
-        finals.append(
-            run_collisions(qmat.ground_state(), sampled, n=2500, record_every=2500).final_temperature
-        )
-    finals = np.asarray(finals)
+    sampled = [mixture_config(rates, temps, schedule="sampled", seed=seed) for seed in range(200)]
+    trajs = run_collisions_many(qmat.ground_state(), sampled, n=2500, record_every=2500)
+    finals = np.array([traj.final_temperature for traj in trajs])
     sem = finals.std(ddof=1) / math.sqrt(len(finals))
     assert abs(finals.mean() - target) <= 3.0 * sem
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_of
+from oracles import lindblad_rhs, matrix_of, real_generator, steady_state
 from thermoclass import channel, qmat
 from thermoclass.channel import boltzmann_temperature
 from thermoclass.classifier import CLASS_HOT, DecisionRule, classify
@@ -16,11 +16,9 @@ from thermoclass.lindblad import (
     SystemConfig,
     evolve,
     evolve_many,
-    lindblad_rhs,
     make_config,
     mean_bath_temperature,
     steady_population_ratio,
-    steady_state,
     steady_temperature,
     steady_temperatures,
     thermal_occupation,
@@ -121,7 +119,7 @@ def test_real_generator_matches_rhs():
         rho = qmat.random_density_matrix(rng)
         coords = channel.to_coords(rho)
         np.testing.assert_allclose(
-            lindblad.real_generator(config) @ coords,
+            real_generator(config) @ coords,
             channel.to_coords(lindblad_rhs(config, rho)),
             atol=1e-13,
         )
@@ -154,7 +152,7 @@ def test_real_generator_matches_per_basis_build(baths, omega):
     config = make_config([t for t, _ in baths], [g * omega for _, g in baths], omega)
     with np.errstate(invalid="ignore"):
         per_basis = matrix_of(lambda rho: _rhs_per_bath(config, rho))
-        assert lindblad.real_generator(config).tobytes() == per_basis.tobytes()
+        assert real_generator(config).tobytes() == per_basis.tobytes()
 
 
 _setup_config = st.tuples(
@@ -179,7 +177,7 @@ def test_batched_setup_matches_each_configuration_alone(configs, dt_share, stop_
         assert temps[j, :k].tolist() == list(config.temperatures) and not temps[j, k:].any()
         assert rates[j, :k].tolist() == list(config.rates) and not rates[j, k:].any()
     generators = lindblad._real_generators(omegas, occupations, rates)
-    alone = [lindblad.real_generator(config) for config in configs]
+    alone = [real_generator(config) for config in configs]
     assert generators.tobytes() == np.stack(alone).tobytes()
     steps = lindblad._rk4_step(generators, dt)
     assert steps.tobytes() == np.stack([lindblad._rk4_step(k, dt) for k in alone]).tobytes()
@@ -203,7 +201,7 @@ def test_real_generator_matches_dissipators_built_per_bath(baths, omega):
             n = thermal_occupation(omega, temperature)
             out += rate * ((n + 1.0) * lindblad._dissipator(qmat.pauli("minus"), basis)
                            + n * lindblad._dissipator(qmat.pauli("plus"), basis))
-        assert lindblad.real_generator(config).tobytes() == channel.to_coords(out).T.copy().tobytes()
+        assert real_generator(config).tobytes() == channel.to_coords(out).T.copy().tobytes()
 
 
 def test_evolve_reference_asymptotes():
@@ -332,7 +330,7 @@ def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, reco
 def test_slowest_decay_rate_matches_eigenvalues(baths, omega):
     # the eigenvalues are 0, -G and -G/2 +- i omega: the coherence rate G/2
     # is the slowest nonzero one, and it sits on the generator's diagonal
-    generator = lindblad.real_generator(make_config([t for t, _ in baths], [g * omega for _, g in baths], omega))
+    generator = real_generator(make_config([t for t, _ in baths], [g * omega for _, g in baths], omega))
     assert lindblad._slowest_decay_rate(generator) == float(np.sort(-np.linalg.eigvals(generator).real)[1])
 
 
@@ -340,7 +338,7 @@ def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
     """Reference for evolve's early stop: one configuration alone through
     channel.propagate, with its stop bound written out. Returns the step
     marks and the raw (unnormalized) records."""
-    generator = lindblad.real_generator(config)
+    generator = real_generator(config)
     step = lindblad._rk4_step(generator, dt)[None]
     record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
     bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
