@@ -22,8 +22,8 @@ _HOMES = {
     **dict.fromkeys(("CollisionConfig", "run_collisions", "run_collisions_many"), "collisions"),
     **dict.fromkeys(("ConfigError", "GuardViolation"), "errors"),
     **dict.fromkeys((
-        "SystemConfig", "evolve", "evolve_many", "make_config", "mean_bath_temperature",
-        "steady_population_ratio", "steady_temperature", "steady_temperatures", "thermal_occupation",
+        "SystemConfig", "evolve", "evolve_many", "make_config", "steady_population_ratios",
+        "steady_temperature", "steady_temperatures", "thermal_occupation",
     ), "lindblad"),
     **dict.fromkeys((
         "BudgetReport", "DispersivePair", "TimingBudget", "budget_report", "effective_coupling",

@@ -54,7 +54,7 @@ def check_ode_matches_analytic(n_configs: int = 100, seed: int = 20240101) -> Cr
     # the closed-form steady states of all configurations from one call, the
     # baths padded with rate 0, which adds exact zeros to every sum
     _, temps, _, rates = lindblad._baths(configs)
-    p_e = lindblad.steady_populations(temps, rates)
+    p_e = 1.0 / (1.0 + lindblad.steady_population_ratios(temps, rates))
     steady = np.stack([p_e, 1.0 - p_e, np.zeros(n_configs), np.zeros(n_configs)], axis=1)
     worst = float(channel.trace_distances(np.array([traj.coords[-1] for traj in trajs]) - steady).max())
     elapsed = time.perf_counter() - t0
@@ -187,9 +187,8 @@ def check_collision_crosscheck() -> CriterionResult:
     worst = max(abs(traj.final_temperature - t) / t for traj, t in zip(trajs, analytic.tolist()))
     # the uncalibrated weighting p ~ Gamma lands on the probability-weighted
     # mean of the ancilla excitations instead; quantify it for the record
-    q = [1.0 / (1.0 + math.exp(1.0 / t)) for t in (1.0, 5.0)]
-    pe = 0.5 * (q[0] + q[1])
-    t_plain = 1.0 / math.log((1.0 - pe) / pe)
+    plain = 0.5 * (qmat.qubit_thermal_state(1.0, 1.0) + qmat.qubit_thermal_state(1.0, 5.0))
+    t_plain = float(channel.boltzmann_temperature(plain[1, 1].real, plain[0, 0].real, 1.0))
     t_ref = lindblad.steady_temperature(lindblad.make_config((1.0, 5.0), (0.1, 0.1)))
     plain_dev = abs(t_plain - t_ref) / t_ref
     ok = worst < 0.02
@@ -256,7 +255,7 @@ def check_core_properties(seed: int = 7) -> CriterionResult:
     # 50 random configurations at once, their baths padded with rate 0
     configs = [_random_config(rng) for _ in range(50)]
     omegas, temps, occupations, rates = lindblad._baths(configs)
-    p_e = lindblad.steady_populations(temps, rates)
+    p_e = 1.0 / (1.0 + lindblad.steady_population_ratios(temps, rates))
     rho_ss = np.zeros((len(configs), 2, 2), dtype=complex)
     rho_ss[:, 0, 0], rho_ss[:, 1, 1] = p_e, 1.0 - p_e
     qmat.validate_density_matrix(rho_ss)

@@ -200,8 +200,9 @@ def boltzmann_temperature(p_g, p_e, omega: float) -> np.ndarray:
 class Trajectory:
     """Recorded evolution of a qubit of frequency omega: the coordinates
     (m, 4) of its state at m strictly increasing times (time units for the
-    master equation, collision counts for the collision model). States and
-    temperatures are built from the coordinates when asked for."""
+    master equation, collision counts for the collision model). The final
+    state and the temperatures are built from the coordinates when asked
+    for."""
 
     times: np.ndarray
     coords: np.ndarray
@@ -213,10 +214,6 @@ class Trajectory:
             raise ValueError(f"need ({len(self.times)}, 4) coordinates, got {self.coords.shape}")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def states(self) -> list:
-        return [from_coords(y) for y in self.coords]
 
     @property
     def final_state(self) -> np.ndarray:

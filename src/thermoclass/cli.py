@@ -204,13 +204,15 @@ def _cmd_steady(config: RunConfig, args) -> ResultTable:
 
     s = config.settings
     system = lindblad.make_config(s["temperatures"], s["gammas"], s["omega"])
-    ratio = lindblad.steady_population_ratio(system)
-    t_ss = lindblad.steady_temperature(system)
-    p_e = 0.0 if ratio == float("inf") else 1.0 / (1.0 + ratio)
+    temps, rates = [system.temperatures], [system.rates]
+    [ratio] = lindblad.steady_population_ratios(temps, rates, system.omega_s).tolist()
+    [t_ss] = lindblad.steady_temperatures(temps, rates, system.omega_s).tolist()
+    [mean] = lindblad.mean_temperatures(temps).tolist()
+    p_e = 1.0 / (1.0 + ratio)
     print(f"T_S^ss = {t_ss:.9g}")
     return ResultTable(
         columns=["p_excited", "p_ground", "population_ratio", "steady_temperature", "mean_bath_temperature"],
-        rows=[(p_e, 1.0 - p_e, ratio, t_ss, lindblad.mean_bath_temperature(system))],
+        rows=[(p_e, 1.0 - p_e, ratio, t_ss, mean)],
     )
 
 

@@ -188,7 +188,7 @@ def _collision_maps(configs) -> list:
     joint = joint.reshape(-1, 4, 4, 4)
     evolved = u @ joint @ u.conj().swapaxes(-1, -2)
     # C order, as numpy's matrix products of other layouts may round differently
-    maps = channel.to_coords(qmat.partial_trace(evolved, keep="system")).swapaxes(1, 2).copy()
+    maps = channel.to_coords(qmat.partial_trace(evolved)).swapaxes(1, 2).copy()
     return np.split(maps, np.cumsum([len(config.reservoirs) for config in configs])[:-1])
 
 

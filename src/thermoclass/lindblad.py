@@ -210,23 +210,13 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     return np.where(coldest == hottest, coldest, t_ss)
 
 
-def steady_population_ratio(config: SystemConfig) -> float:
-    """Steady-state p_g/p_e = sum_i (nbar_i + 1) Gamma_i / sum_i nbar_i Gamma_i.
-
-    Exact for any number of reservoirs; +inf when every bath sits at T = 0
-    (pure ground steady state).
-    """
-    ratio = _rate_ratios(np.array([config.temperatures]), np.array([config.rates]), config.omega_s)
-    return float(1.0 + ratio[0])
-
-
-def steady_populations(temperatures, rates, omega: float = 1.0) -> np.ndarray:
-    """Steady excited population p_e = 1 / (1 + p_g/p_e) of n reservoir sets
-    at once, from (n, k) temperatures and rates; a rate of 0 leaves that
-    bath out, and rows whose baths all sit at T = 0 give 0. Unlike
+def steady_population_ratios(temperatures, rates, omega: float = 1.0) -> np.ndarray:
+    """Steady-state p_g/p_e = sum_i (nbar_i + 1) Gamma_i / sum_i nbar_i Gamma_i
+    of n reservoir sets at once, from (n, k) temperatures and rates; a rate
+    of 0 leaves that bath out, and rows whose baths all sit at T = 0 give
+    inf (a pure ground steady state, p_e = 1 / (1 + inf) = 0). Unlike
     steady_temperatures it validates nothing."""
-    ratio = 1.0 + _rate_ratios(np.asarray(temperatures, dtype=float), np.asarray(rates, dtype=float), omega)
-    return 1.0 / (1.0 + ratio)
+    return 1.0 + _rate_ratios(np.asarray(temperatures, dtype=float), np.asarray(rates, dtype=float), omega)
 
 
 def steady_temperature(config: SystemConfig) -> float:
@@ -248,11 +238,6 @@ def mean_temperatures(temperatures) -> np.ndarray:
             hot = temps[over]
             means[over] = np.clip(sum((hot / k).T), hot.min(axis=1), hot.max(axis=1))
     return means
-
-
-def mean_bath_temperature(config: SystemConfig) -> float:
-    """Arithmetic mean of the reservoir temperatures (see mean_temperatures)."""
-    return float(mean_temperatures([config.temperatures])[0])
 
 
 def _rk4_guard(config: SystemConfig, occupations, dt: float) -> None:

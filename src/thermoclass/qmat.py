@@ -31,17 +31,20 @@ def pauli(which: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli operator {which!r}; expected 'z', 'plus' or 'minus'")
 
 
-def gibbs_state(energies, beta: float) -> np.ndarray:
-    """Thermal equilibrium state diag(p_k) with p_k proportional to exp(-beta E_k).
+def qubit_thermal_state(omega: float, temperature: float) -> np.ndarray:
+    """Gibbs state diag(p_e, p_g) of a qubit with level splitting omega
+    (energies +-omega/2), p proportional to exp(-E / T).
 
-    beta is the inverse temperature (>= 0); math.inf selects the zero
-    temperature limit, where all weight sits on the lowest level (split
-    evenly across degenerate minima).  Negative beta is rejected: negative
-    bath temperatures are out of scope.
+    T = 0, and a T so small that 1/T overflows, put all weight on the
+    ground level (split evenly where omega/2 rounds to 0). Negative
+    temperatures are out of scope and rejected.
     """
-    if beta < 0:
-        raise ValueError(f"negative inverse temperature beta={beta} not supported")
-    energies = np.asarray(energies, dtype=float)
+    if omega <= 0:
+        raise ValueError(f"qubit frequency must be positive, got {omega}")
+    if temperature < 0:
+        raise ValueError(f"negative temperature {temperature} not supported")
+    beta = math.inf if temperature == 0 else 1.0 / temperature
+    energies = np.array([omega / 2.0, -omega / 2.0])
     if math.isinf(beta):
         weights = (energies == energies.min()).astype(float)
     else:
@@ -50,35 +53,17 @@ def gibbs_state(energies, beta: float) -> np.ndarray:
         with np.errstate(over="ignore"):
             weights = np.exp(-beta * (energies - energies.min()))
     rho = np.diag(weights / weights.sum()).astype(complex)
-    validate_density_matrix(rho, "gibbs_state output")
+    validate_density_matrix(rho, "thermal state")
     return rho
 
 
-def qubit_thermal_state(omega: float, temperature: float) -> np.ndarray:
-    """Gibbs state of a qubit with level splitting omega (energies +-omega/2)."""
-    if omega <= 0:
-        raise ValueError(f"qubit frequency must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"negative temperature {temperature} not supported")
-    beta = math.inf if temperature == 0 else 1.0 / temperature
-    return gibbs_state((omega / 2.0, -omega / 2.0), beta)
-
-
-def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Trace a 4x4 two-qubit density matrix, or each matrix of a (..., 4, 4)
-    stack, down to the kept qubit.
-
-    keep="system" keeps the first tensor factor, keep="ancilla" the second.
-    """
+def partial_trace(rho: np.ndarray) -> np.ndarray:
+    """Trace the ancilla (second tensor factor) out of a 4x4 two-qubit
+    density matrix, or out of each matrix of a (..., 4, 4) stack."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"partial_trace expects 4x4 matrices, got shape {rho.shape}")
-    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    if keep == "system":
-        return np.einsum("...ijkj->...ik", r)
-    if keep == "ancilla":
-        return np.einsum("...ijil->...jl", r)
-    raise ValueError(f"keep must be 'system' or 'ancilla', got {keep!r}")
+    return np.einsum("...ijkj->...ik", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
 def unitary_propagator(hamiltonian: np.ndarray, t: float) -> np.ndarray:

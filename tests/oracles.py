@@ -25,7 +25,8 @@ def real_generator(config) -> np.ndarray:
 def steady_state(config) -> np.ndarray:
     """Diagonal closed-form steady state diag(p_e, p_g) of one configuration;
     its coherences are fully damped."""
-    p_e = float(lindblad.steady_populations([config.temperatures], [config.rates], config.omega_s)[0])
+    [ratio] = lindblad.steady_population_ratios([config.temperatures], [config.rates], config.omega_s).tolist()
+    p_e = 1.0 / (1.0 + ratio)
     return np.diag([p_e, 1.0 - p_e]).astype(complex)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import collision_maps, lindblad_rhs, single_collision
-from thermoclass import collisions, lindblad, qmat
+from thermoclass import channel, collisions, lindblad, qmat
 from thermoclass.collisions import (
     SCHEDULES,
     CollisionConfig,
@@ -140,7 +140,8 @@ def test_run_collisions_single_step_matches_single_collision(
     traj = run_collisions(rho, config, n=n)
     rng = np.random.default_rng(state_seed)
     expected = rho
-    for state in traj.states[1:]:
+    for y in traj.coords[1:]:
+        state = channel.from_coords(y)
         if schedule == "mixture":
             expected = sum(p * single_collision(expected, t, config) for t, p in zip(temps, probs))
         else:
@@ -218,7 +219,7 @@ def test_homogenization_reaches_reservoir_gibbs():
         traj = run_collisions(qmat.ground_state(), basic_config(temp), n=5000, record_every=100)
         target = qmat.qubit_thermal_state(1.0, temp)
         assert qmat.trace_distance(traj.final_state, target) < 1e-3
-        assert qmat.trace_distance(traj.states[-1], traj.states[-2]) < 1e-6
+        assert channel.trace_distances(traj.coords[-1] - traj.coords[-2]) < 1e-6
         if temp == 5.0:
             assert abs(traj.final_temperature - temp) / temp < 0.01
 
@@ -255,6 +256,27 @@ def test_sampled_schedule_agrees_with_mixture_on_average():
     finals = np.array([traj.final_temperature for traj in trajs])
     sem = finals.std(ddof=1) / math.sqrt(len(finals))
     assert abs(finals.mean() - target) <= 3.0 * sem
+
+
+def test_sampled_schedule_has_the_exact_moments():
+    # each collision maps p_e -> c p_e + (1 - c) a_i, c = cos^2(J tau), with
+    # a_i the excitation of the ancilla drawn; from p_e = 0 that gives, after
+    # n collisions, mean p_ss (1 - c^n) and variance
+    # (1 - c)^2 Var(a) (1 - c^2n) / (1 - c^2), p_ss and Var(a) taken over
+    # the draw
+    temps, rates, n, seeds = (3.0, 1.0), (0.1, 0.1), 2500, 400
+    configs = [mixture_config(rates, temps, schedule="sampled", seed=seed) for seed in range(seeds)]
+    trajs = run_collisions_many(qmat.ground_state(), configs, n=n, record_every=n)
+    finals = np.array([traj.coords[-1, 0] for traj in trajs])
+    probs = np.array(configs[0].probabilities)
+    a = np.array([qmat.qubit_thermal_state(1.0, t)[0, 0].real for t in temps])
+    p_ss = probs @ a
+    var_a = probs @ (a - p_ss) ** 2
+    c = math.cos(configs[0].coupling * configs[0].tau) ** 2
+    mean = p_ss * (1.0 - c**n)
+    variance = (1.0 - c) ** 2 * var_a * (1.0 - c ** (2 * n)) / (1.0 - c**2)
+    assert abs(finals.mean() - mean) / math.sqrt(variance / seeds) <= 4.0
+    assert abs(finals.var(ddof=1) / variance - 1.0) <= 4.0 * math.sqrt(2.0 / (seeds - 1))
 
 
 def test_calibrated_weights_reproduce_continuous_steady_state():

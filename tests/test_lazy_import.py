@@ -18,9 +18,8 @@ HOMES = {
     "channel": ("Trajectory", "boltzmann_temperature"),
     "collisions": ("CollisionConfig", "run_collisions", "run_collisions_many"),
     "errors": ("ConfigError", "GuardViolation"),
-    "lindblad": ("SystemConfig", "evolve", "evolve_many", "make_config", "mean_bath_temperature",
-                 "steady_population_ratio", "steady_temperature", "steady_temperatures",
-                 "thermal_occupation"),
+    "lindblad": ("SystemConfig", "evolve", "evolve_many", "make_config", "steady_population_ratios",
+                 "steady_temperature", "steady_temperatures", "thermal_occupation"),
     "transmon": ("BudgetReport", "DispersivePair", "TimingBudget", "budget_report",
                  "effective_coupling"),
 }

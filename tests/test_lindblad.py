@@ -17,8 +17,8 @@ from thermoclass.lindblad import (
     evolve,
     evolve_many,
     make_config,
-    mean_bath_temperature,
-    steady_population_ratio,
+    mean_temperatures,
+    steady_population_ratios,
     steady_temperature,
     steady_temperatures,
     thermal_occupation,
@@ -371,7 +371,7 @@ def test_evolve_fixed_point_stays_constant():
     config = make_config((2.0,), (0.1,))
     gibbs = qmat.qubit_thermal_state(1.0, 2.0)
     traj = evolve(config, gibbs, t_end=50.0, dt=0.05, stop_tol=None)
-    assert max(qmat.trace_distance(s, gibbs) for s in traj.states) < 1e-9
+    assert channel.trace_distances(traj.coords - channel.to_coords(gibbs)).max() < 1e-9
 
 
 def test_evolve_rejects_a_nan_initial_state():
@@ -406,7 +406,8 @@ def test_evolve_trace_and_hermiticity_drift():
     config = make_config((3.0, 1.0), (0.1, 0.05))
     traj = evolve(config, qmat.ground_state(), t_end=2000.0, dt=0.01, stop_tol=None)
     assert traj.max_trace_drift < 1e-8
-    for state in traj.states[:: len(traj.states) // 20]:
+    for y in traj.coords[:: len(traj.coords) // 20]:
+        state = channel.from_coords(y)
         assert np.abs(state - state.conj().T).max() < 1e-12
     assert np.all(np.diff(traj.times) > 0)
 
@@ -417,8 +418,8 @@ def test_evolve_converges_to_analytic_steady_state():
         config = random_config(rng)
         traj = evolve(config, qmat.random_density_matrix(rng), t_end=4000.0, dt=0.05, record_every=10.0)
         assert qmat.trace_distance(traj.final_state, steady_state(config)) < 1e-6
-        for state in traj.states[:: max(1, len(traj.states) // 5)]:
-            qmat.validate_density_matrix(state)
+        for y in traj.coords[:: max(1, len(traj.coords) // 5)]:
+            qmat.validate_density_matrix(channel.from_coords(y))
 
 
 def test_evolve_damps_coherences_at_half_population_rate():
@@ -428,8 +429,8 @@ def test_evolve_damps_coherences_at_half_population_rate():
     traj = evolve(config, rho0, t_end=40.0, dt=0.02, stop_tol=None)
     rate = sum(g * (2.0 * thermal_occupation(1.0, t) + 1.0) for t, g in zip(config.temperatures, config.rates)) / 2.0
     c0 = abs(rho0[0, 1])
-    for t, state in zip(traj.times, traj.states):
-        np.testing.assert_allclose(abs(state[0, 1]), c0 * math.exp(-rate * t), rtol=1e-6)
+    for t, y in zip(traj.times, traj.coords):
+        np.testing.assert_allclose(abs(channel.from_coords(y)[0, 1]), c0 * math.exp(-rate * t), rtol=1e-6)
 
 
 def test_evolve_starts_cold_from_ground():
@@ -440,17 +441,23 @@ def test_evolve_starts_cold_from_ground():
 
 
 def test_steady_population_ratio_values():
-    np.testing.assert_allclose(
-        steady_population_ratio(make_config((3.0, 1.0), (0.1, 0.1))), 1.6431482, atol=1e-7
-    )
-    np.testing.assert_allclose(
-        steady_population_ratio(make_config((3.0, 1.0), (0.1, 0.05))), 1.5321574, atol=1e-7
-    )
+    def ratio(temps, rates):
+        [value] = steady_population_ratios([temps], [rates]).tolist()
+        return value
+
+    np.testing.assert_allclose(ratio((3.0, 1.0), (0.1, 0.1)), 1.6431482, atol=1e-7)
+    np.testing.assert_allclose(ratio((3.0, 1.0), (0.1, 0.05)), 1.5321574, atol=1e-7)
     # single bath: detailed balance gives the Boltzmann factor
-    np.testing.assert_allclose(
-        steady_population_ratio(make_config((2.0,), (0.05,))), math.exp(0.5), rtol=1e-12
+    np.testing.assert_allclose(ratio((2.0,), (0.05,)), math.exp(0.5), rtol=1e-12)
+    assert ratio((0.0, 0.0), (0.1, 0.1)) == math.inf
+    # the same rows in one call, the single bath padded with a rate-0 bath,
+    # keep their bits
+    batch = steady_population_ratios(
+        [(3.0, 1.0), (3.0, 1.0), (2.0, 0.0), (0.0, 0.0)], [(0.1, 0.1), (0.1, 0.05), (0.05, 0.0), (0.1, 0.1)]
     )
-    assert steady_population_ratio(make_config((0.0, 0.0), (0.1, 0.1))) == math.inf
+    assert batch.tolist() == [
+        ratio((3.0, 1.0), (0.1, 0.1)), ratio((3.0, 1.0), (0.1, 0.05)), ratio((2.0,), (0.05,)), math.inf
+    ]
 
 
 def test_steady_state_matches_bath_gibbs():
@@ -475,7 +482,7 @@ def test_effective_temperature_cases():
     assert boltzmann_temperature(1.0, -1e-17, 1.0) == 0.0  # roundoff below an empty level
     assert boltzmann_temperature(0.5, 0.5, 1.0) == math.inf
     assert math.isnan(boltzmann_temperature(0.4, 0.6, 1.0))
-    ratio = steady_population_ratio(make_config((3.0, 1.0), (0.1, 0.1)))
+    [ratio] = steady_population_ratios([(3.0, 1.0)], [(0.1, 0.1)]).tolist()
     t = boltzmann_temperature(ratio / (1.0 + ratio), 1.0 / (1.0 + ratio), 1.0)
     assert t == pytest.approx(T_SS_EQUAL, abs=1e-8)
 
@@ -489,9 +496,8 @@ def test_effective_temperature_inverts_gibbs():
 
 
 def test_mean_bath_temperature():
-    assert mean_bath_temperature(make_config((3.0, 1.0), (0.1, 0.1))) == 2.0
-    assert mean_bath_temperature(make_config((5.0, 1.0, 3.0), (0.1, 0.1, 0.1))) == 3.0
-    assert mean_bath_temperature(make_config((2.5, 2.5, 2.5), (0.1, 0.1, 0.1))) == 2.5
+    assert mean_temperatures([(3.0, 1.0)]).tolist() == [2.0]
+    assert mean_temperatures([(5.0, 1.0, 3.0), (2.5, 2.5, 2.5)]).tolist() == [3.0, 2.5]
 
 
 def test_steady_state_is_fixed_point_of_rhs():
@@ -578,7 +584,8 @@ def test_steady_populations_of_padded_rows_keep_the_bits_of_steady_state(rows):
     rates = np.array([[g for _, g in row] + [0.0] * (width - len(row)) for row in rows])
     for pad in (0.0, 1.0):
         temps = np.array([[t for t, _ in row] + [pad] * (width - len(row)) for row in rows])
-        for row, p_e in zip(rows, lindblad.steady_populations(temps, rates).tolist()):
+        for row, ratio in zip(rows, steady_population_ratios(temps, rates).tolist()):
+            p_e = 1.0 / (1.0 + ratio)
             assert p_e == steady_state(make_config([t for t, _ in row], [g for _, g in row]))[0, 0].real
 
 

@@ -24,43 +24,35 @@ def test_pauli_unknown_rejected():
         qmat.pauli("x")
 
 
-def test_gibbs_zero_temperature_is_ground():
-    rho = qmat.gibbs_state((0.5, -0.5), math.inf)
-    np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-15)
+def test_thermal_state_zero_temperature_is_ground():
+    np.testing.assert_array_equal(qmat.qubit_thermal_state(1.0, 0.0), np.diag([0.0, 1.0]))
 
 
-def test_gibbs_infinite_temperature_is_maximally_mixed():
-    rho = qmat.gibbs_state((0.5, -0.5), 0.0)
-    np.testing.assert_allclose(rho, np.diag([0.5, 0.5]), atol=1e-15)
+def test_thermal_state_below_the_smallest_inverse_is_ground():
+    # 1 / 1e-320 overflows to inf, which is taken as T = 0
+    np.testing.assert_array_equal(qmat.qubit_thermal_state(1.0, 1e-320), np.diag([0.0, 1.0]))
 
 
-def test_gibbs_unit_beta_population():
+def test_thermal_state_infinite_temperature_is_maximally_mixed():
+    np.testing.assert_allclose(qmat.qubit_thermal_state(1.0, math.inf), np.diag([0.5, 0.5]), atol=1e-15)
+
+
+def test_thermal_state_unit_temperature_population():
     # p_e = exp(-1/2) / (exp(-1/2) + exp(+1/2)) = 1/(1 + e)
-    rho = qmat.gibbs_state((0.5, -0.5), 1.0)
+    rho = qmat.qubit_thermal_state(1.0, 1.0)
     np.testing.assert_allclose(rho[0, 0].real, 1.0 / (1.0 + math.e), rtol=1e-14)
     np.testing.assert_allclose(np.trace(rho).real, 1.0, rtol=1e-15)
 
 
-def test_gibbs_negative_beta_rejected():
-    with pytest.raises(ValueError):
-        qmat.gibbs_state((0.5, -0.5), -0.1)
+def test_thermal_state_negative_temperature_rejected():
+    with pytest.raises(ValueError, match="negative temperature"):
+        qmat.qubit_thermal_state(1.0, -0.1)
 
 
-def test_gibbs_excited_population_decreases_with_beta():
-    betas = np.linspace(0.0, 8.0, 30)
-    populations = [qmat.gibbs_state((0.5, -0.5), b)[0, 0].real for b in betas]
-    assert all(a > b for a, b in zip(populations, populations[1:]))
-
-
-def test_gibbs_degenerate_ground_splits_evenly():
-    rho = qmat.gibbs_state((1.0, -1.0, -1.0, 2.0), math.inf)
-    np.testing.assert_allclose(np.diag(rho).real, [0.0, 0.5, 0.5, 0.0], atol=1e-15)
-
-
-def test_qubit_thermal_state_limits():
-    np.testing.assert_allclose(qmat.qubit_thermal_state(1.0, 0.0), np.diag([0.0, 1.0]), atol=1e-15)
-    rho = qmat.qubit_thermal_state(1.0, 1.0)
-    np.testing.assert_allclose(rho[0, 0].real, 1.0 / (1.0 + math.e), rtol=1e-14)
+def test_thermal_state_excited_population_increases_with_temperature():
+    temps = np.linspace(0.0, 8.0, 30)
+    populations = [qmat.qubit_thermal_state(1.0, t)[0, 0].real for t in temps]
+    assert all(a < b for a, b in zip(populations, populations[1:]))
 
 
 def test_partial_trace_product_states():
@@ -68,23 +60,19 @@ def test_partial_trace_product_states():
     for _ in range(20):
         a = qmat.random_density_matrix(rng)
         b = qmat.random_density_matrix(rng)
-        joint = np.kron(a, b)
-        np.testing.assert_allclose(qmat.partial_trace(joint, "system"), a, atol=1e-14)
-        np.testing.assert_allclose(qmat.partial_trace(joint, "ancilla"), b, atol=1e-14)
+        np.testing.assert_allclose(qmat.partial_trace(np.kron(a, b)), a, atol=1e-14)
 
 
 def test_partial_trace_bell_state_maximally_mixed():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
     rho = np.outer(bell, bell.conj())
-    np.testing.assert_allclose(qmat.partial_trace(rho, "system"), np.eye(2) / 2, atol=1e-15)
+    np.testing.assert_allclose(qmat.partial_trace(rho), np.eye(2) / 2, atol=1e-15)
 
 
 def test_partial_trace_rejects_wrong_dimension():
     with pytest.raises(ValueError):
-        qmat.partial_trace(np.eye(2), "system")
-    with pytest.raises(ValueError):
-        qmat.partial_trace(np.eye(4) / 4, "both")
+        qmat.partial_trace(np.eye(2))
 
 
 def test_propagator_zero_hamiltonian():

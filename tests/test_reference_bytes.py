@@ -1,7 +1,9 @@
 """The CLI writes the exact CSV bytes that the benchmark's reference hashes
 record: the `classify` workload at seeds 0-9 and `dynamics` at seeds 0-1,
 each step regenerated through `cli.main` and compared by SHA-256. The SVG of
-the `dynamics` workload's `thermalize` step is pinned here as well."""
+the `dynamics` workload's `thermalize` step is pinned here as well, and so
+are the CSV and stdout of `steady` at five configurations, which no
+workload runs."""
 
 import hashlib
 import importlib.util
@@ -47,3 +49,39 @@ def test_outputs_match_the_reference_hashes(tmp_path, workload, seed):
         if step.svg:
             digest = hashlib.sha256(pathlib.Path(step.svg_path(str(tmp_path))).read_bytes()).hexdigest()
             assert digest == SVG_REFERENCE[workload][str(seed)][step.name], step.name
+
+
+# config text -> SHA-256 of steady's CSV and of its stdout
+STEADY_REFERENCE = {
+    "": (
+        "614e9eee326cf02e7002006691ba96a14bb6957e1bac0b0205d089f659027d08",
+        "9024c97f98afaf2a9afb4db0185c2157e539451b23bb17dd179e9dfbc00896d7",
+    ),
+    # every bath at T = 0: the population ratio is inf and p_e is 0
+    "temperatures = 0, 0\n": (
+        "cc5d92f72986fa873ded85dd8598d3bbb1bb782fa2f36440811c961dc3389609",
+        "7126446f5f187cede71c71aff91921956d9d422a549060847371eb6932d3cd39",
+    ),
+    "temperatures = 0.001, 1\n": (
+        "c6a98854e22faadd22dccddd083239d3af522e760c571f95b999ddb85e7db327",
+        "be30635f270816638733db7e886b1acbff6fba349b976c34f11fe5830f8b181c",
+    ),
+    "omega = 1e-300\ntemperatures = 1e300, 5e299\ngammas = 1e-301, 1e-301\n": (
+        "011cd7ab176d43ca82b4df3fa42d57e13b1638fa73f02035ba54f37879e38550",
+        "88bcb10f9fe0583e5290a3b1bc76c068eb3fa903b12e5980d09a770f29797192",
+    ),
+    "temperatures = 1e308, 9e307\n": (
+        "5d0f376bd9582e3a973fdc676ad1b16205a33c04c4cae30a168e14fceb9cc9e4",
+        "acca4d6bfd0ab5ffc3026a2188987038def41b266a0aa1aecb439cd02638855f",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", STEADY_REFERENCE)
+def test_steady_output_matches_its_reference_hashes(tmp_path, capsys, text):
+    config, out = tmp_path / "steady.cfg", tmp_path / "steady.csv"
+    config.write_text(text, encoding="utf-8")
+    assert cli.main(["steady", "--config", str(config), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert (hashlib.sha256(out.read_bytes()).hexdigest(),
+            hashlib.sha256(stdout.encode("utf-8")).hexdigest()) == STEADY_REFERENCE[text]
