@@ -71,8 +71,8 @@ def check_relaxation_curves() -> CriterionResult:
     rate_pairs = ((0.1, 0.1), (0.1, 0.05), (0.05, 0.1))
     configs = [lindblad.make_config((3.0, 1.0), pair) for pair in rate_pairs]
     table = classifier.thermalization_curves(configs, t_end=2000.0, dt=0.05)
-    finals = table.rows[-1, 1:].tolist()
-    starts = table.rows[0, 1:].tolist()
+    finals = table.rows[-1].tolist()[1:]
+    starts = table.rows[0].tolist()[1:]
     errs = [abs(f - ref) for f, ref in zip(finals, REFERENCE_ASYMPTOTES)]
     mean_dev = abs(finals[0] - 2.0) / 2.0
     ok = all(e <= 1e-3 for e in errs) and mean_dev <= 0.01 and all(s == 0.0 for s in starts)
@@ -274,9 +274,9 @@ def check_core_properties(seed: int = 7) -> CriterionResult:
     pairs = [(rng.uniform(0.5, 5.0, 2), rng.uniform(0.01, 0.05, 2)) for _ in range(25)]
     temps = np.array([t for t, _ in pairs])
     rates = np.array([r for _, r in pairs])
-    base_t, _, base_labels = classifier._label(temps, rates, rule, 1.0)
-    scaled_t, _, scaled_labels = classifier._label(temps, 3.5 * rates, rule, 1.0)
-    if base_labels != scaled_labels or any(abs(a - b) > 1e-12 for a, b in zip(base_t, scaled_t)):
+    base_t, _, base_hot = classifier._label(temps, rates, rule, 1.0)
+    scaled_t, _, scaled_hot = classifier._label(temps, 3.5 * rates, rule, 1.0)
+    if not np.array_equal(base_hot, scaled_hot) or np.abs(base_t - scaled_t).max() > 1e-12:
         failures.append("rate-rescaling invariance violated")
 
     config = collisions.CollisionConfig(

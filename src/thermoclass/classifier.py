@@ -71,20 +71,20 @@ class ClassificationResult:
 
 
 def _label(temperatures: np.ndarray, rates: np.ndarray, rule: DecisionRule, omega: float) -> tuple:
-    """Steady temperatures, thresholds and labels of (n, k) reservoir sets;
-    the threshold comparison is inclusive on the hot side."""
+    """Steady temperatures, thresholds and hot-side flags of (n, k)
+    reservoir sets; the threshold comparison is inclusive on the hot side."""
     t_ss = lindblad.steady_temperatures(temperatures, rates, omega)
     thresholds = rule.thresholds(temperatures)
-    labels = [CLASS_HOT if hot else CLASS_COLD for hot in (t_ss >= thresholds).tolist()]
-    return t_ss.tolist(), thresholds.tolist(), labels
+    return t_ss, thresholds, t_ss >= thresholds
 
 
 def classify(config: lindblad.SystemConfig, rule: DecisionRule) -> ClassificationResult:
     """Label one reservoir configuration from its closed-form steady temperature."""
-    t_ss, thresholds, labels = _label(
+    [t_ss], [threshold], [hot] = (values.tolist() for values in _label(
         np.array([config.temperatures]), np.array([config.rates]), rule, config.omega_s
-    )
-    return ClassificationResult(steady_temperature=t_ss[0], threshold=thresholds[0], label=labels[0])
+    ))
+    return ClassificationResult(steady_temperature=t_ss, threshold=threshold,
+                                label=CLASS_HOT if hot else CLASS_COLD)
 
 
 def thermalization_curves(
@@ -92,11 +92,12 @@ def thermalization_curves(
 ) -> ResultTable:
     """Integrate all configurations together from the ground state (zero
     temperature) on a shared time grid and tabulate the effective
-    temperature curves, one float64 row array with the time in column 0."""
+    temperature curves: a record table whose rows are a view of one
+    (n_records, 1 + n_curves) float64 block, the time in its column 0."""
     trajectories = lindblad.evolve_many(configs, qmat.ground_state(), t_end, dt, record_every=sample_every)
     columns = ["time"] + [f"T_S_curve{i + 1}" for i in range(len(trajectories))]
-    rows = np.column_stack([trajectories[0].times, *(traj.temperatures for traj in trajectories)])
-    return ResultTable(columns=columns, rows=rows)
+    block = np.column_stack([trajectories[0].times, *(traj.temperatures for traj in trajectories)])
+    return ResultTable(columns=columns, rows=block.view([(name, np.float64) for name in columns])[:, 0])
 
 
 def gamma_sweep(
@@ -117,8 +118,8 @@ def gamma_sweep(
     rates = np.column_stack((gamma_total / 2.0 + deltas, gamma_total / 2.0 - deltas))
     temps = np.tile((t1, t2), (n_points, 1))
     t_ss = lindblad.steady_temperatures(temps, rates, omega)
-    rows = [(d, g1, g2, t) for d, (g1, g2), t in zip(deltas.tolist(), rates.tolist(), t_ss.tolist())]
-    return ResultTable(columns=["delta_gamma", "gamma1", "gamma2", "steady_temperature"], rows=rows)
+    return ResultTable.of_columns({"delta_gamma": deltas, "gamma1": rates[:, 0], "gamma2": rates[:, 1],
+                                   "steady_temperature": t_ss})
 
 
 def generate_instances(
@@ -131,8 +132,9 @@ def generate_instances(
     omega: float = 1.0,
 ) -> ResultTable:
     """Draw n uniform feature pairs and label each by its steady temperature;
-    returns a table with one row per instance: the two features (gamma1,
-    gamma2 or t1, t2), the steady temperature, the threshold and the label.
+    returns a record table with one row per instance: the two features
+    (gamma1, gamma2 or t1, t2), the steady temperature, the threshold and
+    the label (ASCII bytes).
 
     space="temperature": features are bath temperatures, fixed = the two
     coupling rates; space="gamma": features are coupling rates, fixed = the
@@ -160,11 +162,12 @@ def generate_instances(
     features = np.column_stack((x1, x2))
     pinned = np.tile(fixed, (n, 1))
     temps, rates = (pinned, features) if space == GAMMA_SPACE else (features, pinned)
-    t_ss, thresholds, labels = _label(temps, rates, rule, omega)
-    return ResultTable(
-        columns=[*_FEATURE_NAMES[space], "steady_temperature", "threshold", "label"],
-        rows=list(zip(x1.tolist(), x2.tolist(), t_ss, thresholds, labels)),
-    )
+    t_ss, thresholds, hot = _label(temps, rates, rule, omega)
+    name1, name2 = _FEATURE_NAMES[space]
+    return ResultTable.of_columns({
+        name1: x1, name2: x2, "steady_temperature": t_ss, "threshold": thresholds,
+        "label": np.where(hot, CLASS_HOT.encode(), CLASS_COLD.encode()),
+    })
 
 
 def step(y: float) -> float:

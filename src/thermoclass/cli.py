@@ -101,7 +101,7 @@ SCHEMAS = {
         "t_min": ("float", 0.5),
         "t_max": ("float", 5.5),
         "rule": ("str", "fixed_threshold"),
-        "theta": ("float", 3.0),
+        "theta": ("float", None),  # 3.0 under fixed_threshold, see _cmd_classify_temp
         "seed": ("int", 42),
     },
     "collide": {
@@ -251,6 +251,8 @@ def _cmd_classify_temp(config: RunConfig, args) -> ResultTable:
     from . import classifier
 
     s = config.settings
+    if s["rule"] == "fixed_threshold" and s["theta"] is None:
+        s["theta"] = 3.0  # the default threshold, echoed in the metadata
     rule = classifier.DecisionRule(s["rule"], s["theta"])
     return classifier.generate_instances(
         classifier.TEMPERATURE_SPACE, s["n"],
@@ -322,11 +324,12 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
     from . import svgplot
 
     if experiment == "thermalize":
-        return svgplot.line_plot(table.rows[:, 0], table.rows[:, 1:].T, table.columns[1:],
+        curves = table.rows.view(np.float64).reshape(len(table.rows), -1)
+        return svgplot.line_plot(curves[:, 0], curves[:, 1:].T, table.columns[1:],
                                  title="relaxation to the steady temperature",
                                  xlabel="time (1/omega)", ylabel="T_S")
     if experiment == "sweep-gamma":
-        return svgplot.line_plot(table.column("delta_gamma"), [table.column("steady_temperature")],
+        return svgplot.line_plot(table.rows["delta_gamma"], [table.rows["steady_temperature"]],
                                  ["steady temperature"],
                                  title="steady temperature vs rate split",
                                  xlabel="delta gamma", ylabel="T_S^ss")
@@ -336,9 +339,9 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
                                  title="repeated-interaction thermalization",
                                  xlabel="collision", ylabel="T_S")
     if experiment in ("classify-gamma", "classify-temp"):
-        xs, ys = (np.array(table.column(name)) for name in table.columns[:2])
-        labels = np.array(table.column("label"))
-        groups = {label: (xs[labels == label], ys[labels == label])
+        xs, ys = (table.rows[name] for name in table.columns[:2])
+        labels = table.rows["label"]
+        groups = {label.decode("ascii"): (xs[labels == label], ys[labels == label])
                   for label in np.unique(labels).tolist()}
         return svgplot.scatter_plot(groups,
                                     title="labeled instances",

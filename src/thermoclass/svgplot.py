@@ -4,7 +4,7 @@ Figures are derived artifacts here; the CSV tables stay the source of truth.
 Coordinates are mapped to pixels as numpy arrays. A scatter plot writes each
 marker through one printf-style template. A line plot formats the shared x
 pixels, and each series' y pixels, once per distinct value with
-tables.format_array (converged curves repeat a few values many times), and
+_format_array (converged curves repeat a few values many times), and
 builds each polyline by concatenating object arrays of these texts. So a plot
 costs a few array operations per series rather than Python calls per point.
 """
@@ -12,8 +12,6 @@ costs a few array operations per series rather than Python calls per point.
 from __future__ import annotations
 
 import numpy as np
-
-from .tables import format_array
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 72, 24, 36, 56
@@ -94,6 +92,16 @@ def _legend(i, label, color) -> str:
             f'text-anchor="end" fill="{color}">{label}</text>')
 
 
+def _format_array(values: np.ndarray, spec: str) -> np.ndarray:
+    """The printf-style texts of a float64 array, as an object array of its
+    shape. Each distinct value is formatted once, all of them in one "%"
+    call; values are told apart by their bits, so that -0.0 and 0.0 keep
+    their own texts. spec must never write a space."""
+    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
+    texts = ((spec + " ") * len(distinct) % tuple(distinct.view(np.float64).tolist())).split(" ")[:-1]
+    return np.array(texts, dtype=object)[where.reshape(values.shape)]
+
+
 def line_plot(xs, series, labels, title="", xlabel="", ylabel="") -> str:
     """Polyline plot of one or more y-series, each with one y per x, against
     a shared x axis; points whose y is not finite are left out."""
@@ -101,11 +109,11 @@ def line_plot(xs, series, labels, title="", xlabel="", ylabel="") -> str:
     series = [np.asarray(ys, dtype=float) for ys in series]
     frame = _Frame(_axis_range(xs), _axis_range(*series))
     parts = _chrome(frame, title, xlabel, ylabel)
-    x_texts = format_array(frame.px(xs), "%.1f,")
+    x_texts = _format_array(frame.px(xs), "%.1f,")
     for i, (ys, label) in enumerate(zip(series, labels)):
         color = PALETTE[i % len(PALETTE)]
         keep = np.isfinite(ys)
-        points = " ".join((x_texts[keep] + format_array(frame.py(ys[keep]), "%.1f")).tolist())
+        points = " ".join((x_texts[keep] + _format_array(frame.py(ys[keep]), "%.1f")).tolist())
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_legend(i, label, color))
     parts.append("</svg>")

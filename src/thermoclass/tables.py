@@ -2,17 +2,17 @@
 one header line, then rows. Numbers are written with 9 significant digits so
 equal inputs produce byte-identical files.
 
-A table's rows are either a list of tuples or, for a table of floats only,
-one (n_rows, n_columns) float64 array, which is kept as it is up to the CSV
-text.
+A table's rows are a list of tuples, or a record table: one 1-D numpy
+structured array whose fields are the columns, each float64 or fixed-width
+ASCII bytes, kept as it is up to the CSV text.
 
 format_value is the one formatting rule for a cell. render_csv writes a
 list-of-tuples table through one printf-style row template, so that
 formatting runs in C rather than as one Python call per cell; the template
-spells out, per column, what format_value does for that column's type. An
-array table is formatted once per distinct value instead (relaxation curves
-repeat a few values thousands of times), with the same "%.9g" text that
-format_value gives a float.
+spells out, per column, what format_value does for that column's type. A
+record table of _BYTES_MIN_ROWS rows or more is written as bytes by
+csvbytes.record_body; a smaller one, or one with a NUL inside a text cell,
+is written as tuples of its Python values.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class ResultTable:
     columns: list
     rows: list | np.ndarray
@@ -32,17 +32,43 @@ class ResultTable:
     def __post_init__(self):
         width = len(self.columns)
         if isinstance(self.rows, np.ndarray):
-            if self.rows.dtype != np.float64 or self.rows.ndim != 2 or self.rows.shape[1] != width:
-                raise ValueError(f"a row array must be float64 of shape (n, {width}), "
-                                 f"got {self.rows.dtype} of shape {self.rows.shape}")
+            dtype = self.rows.dtype
+            if (self.rows.ndim != 1 or not width or dtype.names != tuple(self.columns)
+                    or any(dtype[name] != np.float64 and dtype[name].kind != "S" for name in dtype.names)):
+                raise ValueError(f"a row array must be 1-D with one float64 or bytes field per column "
+                                 f"{self.columns}, got {dtype} of shape {self.rows.shape}")
         elif set(map(len, self.rows)) - {width}:
             i, row = next((i, row) for i, row in enumerate(self.rows) if len(row) != width)
             raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
 
+    def __eq__(self, other):
+        """Equal columns, metadata and rows; a record table's rows are equal
+        when their dtypes and bytes are, so values compare bit for bit."""
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        if (self.columns, self.metadata) != (other.columns, other.metadata):
+            return False
+        mine, theirs = self.rows, other.rows
+        if isinstance(mine, np.ndarray) or isinstance(theirs, np.ndarray):
+            return (isinstance(mine, np.ndarray) and isinstance(theirs, np.ndarray)
+                    and mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes())
+        return mine == theirs
+
+    @classmethod
+    def of_columns(cls, columns: dict) -> "ResultTable":
+        """The record table of equal-length 1-D columns, name -> array."""
+        arrays = [np.asarray(values) for values in columns.values()]
+        rows = np.empty(len(arrays[0]), dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
+        for name, values in zip(columns, arrays):
+            rows[name] = values
+        return cls(columns=list(columns), rows=rows)
+
     def column(self, name: str) -> list:
+        """The cells of one column as Python values; text cells as str."""
         j = self.columns.index(name)
         if isinstance(self.rows, np.ndarray):
-            return self.rows[:, j].tolist()
+            values = self.rows[name]
+            return values.astype(str).tolist() if values.dtype.kind == "S" else values.tolist()
         return list(map(itemgetter(j), self.rows))
 
 
@@ -60,23 +86,32 @@ def format_value(value) -> str:
 _SPECS = {float: "%.9g", int: "%d", str: "%s"}
 
 
-def format_array(values: np.ndarray, spec: str) -> np.ndarray:
-    """The printf-style texts of a float64 array, as an object array of its
-    shape. Each distinct value is formatted once, all of them in one "%"
-    call; values are told apart by their bits, so that -0.0 and 0.0 keep
-    their own texts. spec must never write a space."""
-    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
-    texts = ((spec + " ") * len(distinct) % tuple(distinct.view(np.float64).tolist())).split(" ")[:-1]
-    return np.array(texts, dtype=object)[where.reshape(values.shape)]
+# Below this many rows the array work's fixed cost, about 0.1 ms a table,
+# exceeds the row template's (measured on the 4- and 5-column instance and
+# sweep tables)
+_BYTES_MIN_ROWS = 64
+
+
+def _inner_nul(texts: np.ndarray) -> bool:
+    """Whether a bytes column holds a NUL before some other byte of a cell,
+    which numpy keeps as part of the text (it drops only trailing NULs) and
+    bytes.translate would drop."""
+    raw = np.ascontiguousarray(texts).view(np.uint8).reshape(len(texts), texts.dtype.itemsize)
+    return bool(np.any((raw[:, :-1] == 0) & (raw[:, 1:] != 0)))
 
 
 def render_csv(table: ResultTable) -> str:
     lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.columns))
-    if isinstance(table.rows, np.ndarray):
-        lines.extend(map(",".join, format_array(table.rows, "%.9g").tolist()))
-        return "\n".join(lines) + "\n"
-    rows = list(map(tuple, table.rows))
+    rows = table.rows
+    if isinstance(rows, np.ndarray):
+        texts = [name for name in rows.dtype.names if rows.dtype[name].kind == "S"]
+        if len(rows) >= _BYTES_MIN_ROWS and not any(_inner_nul(rows[name]) for name in texts):
+            from . import csvbytes
+
+            return "\n".join(lines) + "\n" + csvbytes.record_body(rows).decode("ascii")
+        rows = [tuple(v.decode("ascii") if isinstance(v, bytes) else v for v in row) for row in rows.tolist()]
+    rows = list(map(tuple, rows))
     specs, formatted = [], {}
     for j in range(len(table.columns)):
         kinds = set(map(type, map(itemgetter(j), rows)))

@@ -70,8 +70,8 @@ def test_thermalization_curves_table():
     ]
     table = thermalization_curves(configs, t_end=300.0, dt=0.05)
     assert table.columns == ["time", "T_S_curve1", "T_S_curve2", "T_S_curve3"]
-    assert table.rows[0, 1:].tolist() == [0.0, 0.0, 0.0]
-    finals = table.rows[-1]
+    assert table.rows[0].tolist()[1:] == (0.0, 0.0, 0.0)
+    finals = table.rows[-1].tolist()
     assert finals[1] == pytest.approx(2.0136362, abs=1e-3)
     assert finals[2] == pytest.approx(2.3436942, abs=1e-3)
     assert finals[3] == pytest.approx(1.6812845, abs=1e-3)
@@ -119,15 +119,15 @@ def test_generate_instances_labels_match_direct_classification():
     table = generate_instances(
         TEMPERATURE_SPACE, 10, ((0.5, 5.5), (0.5, 5.5)), 7, rule, (0.02, 0.02)
     )
-    for t1, t2, t_ss, threshold, label in table.rows:
+    for t1, t2, t_ss, threshold, label in table.rows.tolist():
         direct = classify(lindblad.make_config((t1, t2), (0.02, 0.02)), rule)
-        assert (t_ss, threshold, label) == (direct.steady_temperature, direct.threshold, direct.label)
+        assert (t_ss, threshold, label.decode()) == (direct.steady_temperature, direct.threshold, direct.label)
     # rate space: the instance-mean threshold is the mean of the fixed temperatures
     rule = DecisionRule.instance_mean()
     table = generate_instances(GAMMA_SPACE, 10, ((0.005, 0.1), (0.005, 0.1)), 7, rule, (3.0, 1.0))
-    for gamma1, gamma2, t_ss, threshold, label in table.rows:
+    for gamma1, gamma2, t_ss, threshold, label in table.rows.tolist():
         direct = classify(lindblad.make_config((3.0, 1.0), (gamma1, gamma2)), rule)
-        assert (t_ss, threshold, label) == (direct.steady_temperature, 2.0, direct.label)
+        assert (t_ss, threshold, label.decode()) == (direct.steady_temperature, 2.0, direct.label)
 
 
 # (space, ranges, rule, fixed): both spaces under both rules. Temperature
@@ -155,22 +155,22 @@ def test_generate_instances_equals_points_built_one_at_a_time(space, ranges, rul
     expected = []
     for i in range(n):
         label = CLASS_HOT if t_ss[i] >= thresholds[i] else CLASS_COLD
-        expected.append((*x[i].tolist(), t_ss[i], thresholds[i], label))
+        expected.append((*x[i].tolist(), t_ss[i], thresholds[i], label.encode()))
     names = ("gamma1", "gamma2") if space == GAMMA_SPACE else ("t1", "t2")
     assert table.columns == [*names, "steady_temperature", "threshold", "label"]
-    assert table.rows == expected
-    # plain Python cells: render_csv picks each column's format from its type
-    assert all(list(map(type, row)) == [float] * 4 + [str] for row in table.rows)
+    assert table.rows.tolist() == expected
+    # one record per instance: four float64 fields and the label's ASCII bytes
+    assert [table.rows.dtype[name].str for name in table.columns] == ["<f8"] * 4 + ["|S6"]
 
 
 def test_instances_at_the_threshold_are_labeled_hot():
     # equal bath temperatures: the steady temperature is exactly their value
     table = generate_instances(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
                                DecisionRule.instance_mean(), (2.5, 2.5))
-    assert [row[2:] for row in table.rows] == [(2.5, 2.5, CLASS_HOT)] * 3
+    assert [row[2:] for row in table.rows.tolist()] == [(2.5, 2.5, CLASS_HOT.encode())] * 3
     table = generate_instances(GAMMA_SPACE, 3, ((0.005, 0.1), (0.005, 0.1)), 5,
                                DecisionRule.fixed(2.5), (2.5, 2.5))
-    assert [row[2:] for row in table.rows] == [(2.5, 2.5, CLASS_HOT)] * 3
+    assert [row[2:] for row in table.rows.tolist()] == [(2.5, 2.5, CLASS_HOT.encode())] * 3
 
 
 def test_labels_invariant_under_rate_rescaling():
@@ -285,7 +285,7 @@ def test_perceptron_separates_labeled_temperature_instances():
         TEMPERATURE_SPACE, 20, ((0.5, 5.5), (0.5, 5.5)), 42,
         DecisionRule.fixed(3.0), (0.02, 0.02),
     )
-    features = [row[:2] for row in table.rows]
+    features = np.column_stack((table.rows["t1"], table.rows["t2"]))
     labels = table.column("label")
     assert set(labels) == {CLASS_HOT, CLASS_COLD}
     fitted = perceptron_fit(features, labels, max_epochs=1000)
@@ -301,7 +301,7 @@ def test_perceptron_fit_takes_lists_and_arrays_alike():
         DecisionRule.fixed(3.0), (0.02, 0.02),
     )
     labels = table.column("label")
-    rows = [row[:2] for row in table.rows]
+    rows = [row[:2] for row in table.rows.tolist()]
     fitted = perceptron_fit(rows, labels)
     assert isinstance(fitted, Perceptron)
     assert perceptron_fit(np.array(rows), np.array(labels)) == fitted

@@ -129,6 +129,23 @@ def test_classify_gamma_runs_with_a_fixed_threshold(tmp_path):
     assert read_csv(out).column("threshold") == [2.0] * 20
 
 
+def test_classify_temp_runs_the_instance_mean_rule(tmp_path):
+    # theta defaults to 3.0 only under fixed_threshold: under instance_mean it stays unset
+    cfg = tmp_path / "rule.cfg"
+    cfg.write_text("rule = instance_mean\n")
+    out = tmp_path / "instances.csv"
+    assert run(["classify-temp", "--config", str(cfg), "--out", str(out)]) == 0
+    table = read_csv(out)
+    assert table.metadata["rule"] == "instance_mean" and "theta" not in table.metadata
+    # equal rates: the steady temperature never falls below the instance mean
+    assert table.column("label") == ["class1"] * 20
+    default = tmp_path / "default.csv"
+    assert run(["classify-temp", "--out", str(default)]) == 0
+    assert list(read_csv(default).metadata.items())[-3:] == [
+        ("rule", "fixed_threshold"), ("theta", "3"), ("seed", "42")]
+    assert read_csv(default).column("threshold") == [3.0] * 20
+
+
 def test_invalid_parameter_exits_2(tmp_path, capsys):
     cfg = tmp_path / "neg.cfg"
     cfg.write_text("temperatures = -3, 1\n")
