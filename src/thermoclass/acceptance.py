@@ -89,8 +89,7 @@ def check_rate_sweep() -> CriterionResult:
     and bounded deviation from the endpoint chord."""
     t1, t2, gamma = 3.0, 1.0, 0.08
     table = classifier.gamma_sweep(t1, t2, gamma, n_points=401)
-    deltas = np.array(table.column("delta_gamma"))
-    temps = np.array(table.column("steady_temperature"))
+    deltas, temps = table.rows["delta_gamma"], table.rows["steady_temperature"]
     end_err = max(abs(temps[-1] - t1), abs(temps[0] - t2))
     monotone = bool(np.all(np.diff(temps) > 0))
     chord = t2 + (t1 - t2) * (deltas + gamma / 2.0) / gamma

@@ -210,10 +210,8 @@ def _cmd_steady(config: RunConfig, args) -> ResultTable:
     [mean] = lindblad.mean_temperatures(temps).tolist()
     p_e = 1.0 / (1.0 + ratio)
     print(f"T_S^ss = {t_ss:.9g}")
-    return ResultTable(
-        columns=["p_excited", "p_ground", "population_ratio", "steady_temperature", "mean_bath_temperature"],
-        rows=[(p_e, 1.0 - p_e, ratio, t_ss, mean)],
-    )
+    return ResultTable.of_columns({"p_excited": [p_e], "p_ground": [1.0 - p_e], "population_ratio": [ratio],
+                                   "steady_temperature": [t_ss], "mean_bath_temperature": [mean]})
 
 
 def _cmd_thermalize(config: RunConfig, args) -> ResultTable:
@@ -288,8 +286,8 @@ def _cmd_collide(config: RunConfig, args) -> ResultTable:
     traj = collisions.run_collisions(
         qmat.ground_state(), collision_config, n=s["collisions"], record_every=s["record_every"]
     )
-    rows = list(zip(traj.times.tolist(), traj.coords[:, 0].tolist(), traj.temperatures.tolist()))
-    return ResultTable(columns=["collision", "p_excited", "temperature"], rows=rows)
+    return ResultTable.of_columns({"collision": traj.times, "p_excited": traj.coords[:, 0],
+                                   "temperature": traj.temperatures})
 
 
 def _cmd_transmon_budget(config: RunConfig, args) -> ResultTable:
@@ -302,11 +300,8 @@ def _cmd_transmon_budget(config: RunConfig, args) -> ResultTable:
     )
     report = transmon.budget_report(budget, classical_baseline_ms=s["classical_ms"])
     print(report.text)
-    return ResultTable(
-        columns=["total_us", "feasible", "t1_relax_us", "classical_baseline_ms", "speedup"],
-        rows=[(report.total_us, report.feasible, report.t1_relax_us,
-               report.classical_baseline_ms, report.speedup)],
-    )
+    columns = ("total_us", "feasible", "t1_relax_us", "classical_baseline_ms", "speedup")
+    return ResultTable.of_columns({name: [getattr(report, name)] for name in columns})
 
 
 _COMMANDS = {
@@ -334,7 +329,7 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
                                  title="steady temperature vs rate split",
                                  xlabel="delta gamma", ylabel="T_S^ss")
     if experiment == "collide":
-        return svgplot.line_plot(table.column("collision"), [table.column("temperature")],
+        return svgplot.line_plot(table.rows["collision"], [table.rows["temperature"]],
                                  ["system temperature"],
                                  title="repeated-interaction thermalization",
                                  xlabel="collision", ylabel="T_S")
@@ -362,11 +357,10 @@ def _run_verify(args) -> int:
     for result in results:
         print(result.line())
     if args.out:
-        table = ResultTable(
-            columns=["criterion", "name", "passed", "details"],
-            rows=[(r.number, r.name, r.passed, r.details.replace(",", ";")) for r in results],
-            metadata={"artifact": f"thermoclass {__version__}", "experiment": "verify"},
-        )
+        table = ResultTable.of_columns({"criterion": [r.number for r in results], "name": [r.name for r in results],
+                                        "passed": [r.passed for r in results],
+                                        "details": [r.details.replace(",", ";") for r in results]})
+        table.metadata = {"artifact": f"thermoclass {__version__}", "experiment": "verify"}
         with _writing_output():
             write_csv(table, args.out)
     return 0 if all(r.passed for r in results) else 4

@@ -3,16 +3,19 @@
 from thermoclass.tables import ResultTable
 
 
-def _parse_cell(text: str):
+def _parse_column(texts) -> list:
+    """The cells of one column: floats when every cell parses as one, else
+    the texts."""
     try:
-        return float(text)
+        return [float(text) for text in texts]
     except ValueError:
-        return text
+        return list(texts)
 
 
 def read_csv(path) -> ResultTable:
     """Inverse of tables.write_csv; metadata and header round-trip exactly,
-    numeric cells come back as floats."""
+    and the rows come back as a record table: a float64 column when every
+    cell parses as a float, otherwise text bytes."""
     metadata = {}
     columns = None
     rows = []
@@ -29,7 +32,12 @@ def read_csv(path) -> ResultTable:
             if columns is None:
                 columns = line.split(",")
                 continue
-            rows.append(tuple(_parse_cell(cell) for cell in line.split(",")))
+            rows.append(line.split(","))
     if columns is None:
         raise ValueError(f"{path}: no header line found")
-    return ResultTable(columns=columns, rows=rows, metadata=metadata)
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{path}: a row's cell count differs from the header's")
+    cells = list(zip(*rows)) if rows else [()] * len(columns)
+    table = ResultTable.of_columns({name: _parse_column(texts) for name, texts in zip(columns, cells)})
+    table.metadata = metadata
+    return table

@@ -2,13 +2,16 @@
 record: the `classify` workload at seeds 0-9 and `dynamics` at seeds 0-1,
 each step regenerated through `cli.main` and compared by SHA-256. The SVG of
 the `dynamics` workload's `thermalize` step is pinned here as well, and so
-are the CSV and stdout of `steady` at five configurations, which no
-workload runs."""
+are outputs that no workload writes: the CSV and stdout of `steady` at five
+configurations and of `transmon-budget` at its defaults, `collide`'s CSV at
+its defaults and at collision counts past 1e9, and `verify`'s CSV with its
+elapsed seconds masked."""
 
 import hashlib
 import importlib.util
 import json
 import pathlib
+import re
 import sys
 
 import pytest
@@ -85,3 +88,41 @@ def test_steady_output_matches_its_reference_hashes(tmp_path, capsys, text):
     stdout = capsys.readouterr().out
     assert (hashlib.sha256(out.read_bytes()).hexdigest(),
             hashlib.sha256(stdout.encode("utf-8")).hexdigest()) == STEADY_REFERENCE[text]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_transmon_budget_output_matches_its_reference_hashes(tmp_path, capsys):
+    out = tmp_path / "budget.csv"
+    assert cli.main(["transmon-budget", "--out", str(out)]) == 0
+    assert (_sha256(out.read_bytes()), _sha256(capsys.readouterr().out.encode("utf-8"))) == (
+        "ef61d854fbc758ff0c88bb6b66efc022502919c70bb07465a81f7de3b50122d3",
+        "eb76f1fe0870db4cb53a3e0007813ef2d04eef6acf0c8d409b7b0b144abbc120",
+    )
+
+
+# config text -> SHA-256 of collide's CSV
+COLLIDE_REFERENCE = {
+    "": "cd3551455c0670a1f805f91a7bf7ac4b29334f557025df6fb73d83e657174c81",
+    # collision counts are written in full ("1000000000"), never as "1e+09"
+    "collisions = 3000000000\nrecord_every = 1000000000\n":
+        "ff36ed3fcc1da0ca21f3141deb481722a2d5422f62e916e978dc8dec3c4bcc77",
+}
+
+
+@pytest.mark.parametrize("text", COLLIDE_REFERENCE)
+def test_collide_csv_matches_its_reference_hash(tmp_path, text):
+    config, out = tmp_path / "collide.cfg", tmp_path / "collide.csv"
+    config.write_text(text, encoding="utf-8")
+    assert cli.main(["collide", "--config", str(config), "--out", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == COLLIDE_REFERENCE[text]
+
+
+def test_verify_csv_matches_its_reference_hash(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify", "--out", str(out)]) == 0
+    # elapsed seconds masked as CI masks them
+    masked = re.sub(rb"[0-9]+\.[0-9] s$", b"<elapsed> s", out.read_bytes(), flags=re.MULTILINE)
+    assert _sha256(masked) == "348df30c5d918f79f8cf1afae282b8b2a192142658c1185b0f2f8c3f4c620093"
