@@ -119,13 +119,13 @@ def _every_collision(configs, n: int, stride: int) -> np.ndarray:
     from run_collisions's in its last bits."""
     maps = np.concatenate(collisions._collision_maps(configs))
     y0 = np.broadcast_to(channel.to_coords(qmat.ground_state())[:, None], (len(configs), 4, 1))
-    _, coarse, _ = channel.propagate(y0, channel.repeated(maps, n, stride), stride)
+    _, coarse, _ = channel.propagate(y0, channel.repeated(maps, n, stride), n, stride)
     windows, width = len(coarse) - 1, min(stride, n)
     states = np.empty((windows * width + 1, len(configs), 4))
     # grid[w, j] is the state after w * stride + j collisions
     grid = states[:-1].reshape(windows, width, len(configs), 4)
     for c, step in enumerate(maps):
-        _, fine, _ = channel.propagate(coarse[:-1, c, :, 0].T, channel.repeated(step, width, 1), 1)
+        _, fine, _ = channel.propagate(coarse[:-1, c, :, 0].T, channel.repeated(step, width, 1), width, 1)
         grid[:, :, c] = fine[:width].transpose(2, 0, 1)
     states[n] = coarse[-1, ..., 0]
     return states[: n + 1]

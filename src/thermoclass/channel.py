@@ -68,9 +68,10 @@ def _reserve(records: np.ndarray, size: int) -> np.ndarray:
     return grown
 
 
-def propagate(y, blocks, record_every: int, check_every: int = 1, stop_bounds=None) -> tuple:
+def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, stop_bounds=None) -> tuple:
     """Apply the blocks of the iterable `blocks`, (count, matrix) pairs, to y
-    one after the other; each matrix advances y by `count` steps at once.
+    one after the other; each matrix advances y by `count` steps at once, and
+    the counts add up to `steps`.
 
     y and each matrix may carry leading batch axes (y of shape (b, 4, 1) with
     matrices of shape (b, 4, 4) steps b states at once). Records the start,
@@ -96,13 +97,17 @@ def propagate(y, blocks, record_every: int, check_every: int = 1, stop_bounds=No
     first axis, and the step count at which each row stopped (with
     stop_bounds) or the last step count (without). The records go into one
     array that doubles when full, so its size follows the records made, not
-    the step count, which early stop may leave far from reached.
+    the step count, which early stop may leave far from reached. A run
+    without stop_bounds makes every record it can, so its buffer is
+    allocated for all of them at once: it is never copied, and records that
+    could not fit in memory fail here (numpy's MemoryError) before the first
+    step.
     """
     y = np.array(y, dtype=float)  # the state of every row after the blocks so far
     marks = [0]
-    records = np.empty((_FIRST_RECORDS, *y.shape))
-    records[0] = y
     stopping = stop_bounds is not None
+    records = np.empty((_FIRST_RECORDS if stopping else steps // record_every + 2, *y.shape))
+    records[0] = y
     stopped = np.full(len(y), -1) if stopping else None
     live = slice(None)  # the rows still stepping: all, until one stops
     n_live = len(y)
@@ -187,11 +192,12 @@ def boltzmann_temperature(p_g, p_e, omega: float) -> np.ndarray:
 
     p_g and p_e may be any pair proportional to the populations. An empty
     (or roundoff-negative) excited level gives 0, equal populations give inf
-    and inverted populations give NaN.
+    and inverted populations give NaN. An excited level so small that
+    p_g/p_e overflows gives 0, the limit of the formula.
     """
     p_g = np.asarray(p_g, dtype=float)
     p_e = np.asarray(p_e, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         temps = omega / np.log(p_g / p_e)
     return np.where(p_e <= 0.0, 0.0, np.where(p_e > p_g, math.nan, temps))
 

@@ -30,10 +30,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_floats(text: str) -> tuple:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
@@ -48,16 +44,12 @@ def _parse_pairs(text: str) -> tuple:
     return tuple(_parse_floats(g) for g in groups)
 
 
-def _parse_str(text: str) -> str:
-    return text.strip()
-
-
 _KINDS = {
     "float": _parse_float,
-    "int": _parse_int,
+    "int": int,
     "floats": _parse_floats,
     "pairs": _parse_pairs,
-    "str": _parse_str,
+    "str": str,
 }
 
 # experiment -> ordered {key: (kind, default)}; None defaults mean "optional,
@@ -304,14 +296,33 @@ def _cmd_transmon_budget(config: RunConfig, args) -> ResultTable:
     return ResultTable.of_columns({name: [getattr(report, name)] for name in columns})
 
 
+def _cmd_verify(config: RunConfig, args) -> ResultTable:
+    from . import acceptance
+
+    only = None
+    if args.only:
+        only = {int(part) for part in args.only.split(",")}
+        bad = only - set(range(1, 9))
+        if bad:
+            raise ConfigError(f"unknown criterion numbers {sorted(bad)}; valid range is 1-8")
+    results = acceptance.run_all(only=only)
+    for result in results:
+        print(result.line())
+    return ResultTable.of_columns({"criterion": [r.number for r in results], "name": [r.name for r in results],
+                                   "passed": [r.passed for r in results],
+                                   "details": [r.details.replace(",", ";") for r in results]})
+
+
+# subcommand -> (command, help text)
 _COMMANDS = {
-    "steady": _cmd_steady,
-    "thermalize": _cmd_thermalize,
-    "sweep-gamma": _cmd_sweep_gamma,
-    "classify-gamma": _cmd_classify_gamma,
-    "classify-temp": _cmd_classify_temp,
-    "collide": _cmd_collide,
-    "transmon-budget": _cmd_transmon_budget,
+    "steady": (_cmd_steady, "closed-form steady state and effective temperature for one reservoir set"),
+    "thermalize": (_cmd_thermalize, "effective-temperature relaxation curves for several rate pairs"),
+    "sweep-gamma": (_cmd_sweep_gamma, "steady temperature along a rate split at fixed bath temperatures"),
+    "classify-gamma": (_cmd_classify_gamma, "random rate pairs labeled by the decision rule"),
+    "classify-temp": (_cmd_classify_temp, "random temperature pairs labeled by the decision rule"),
+    "collide": (_cmd_collide, "repeated-interaction trajectory of the system qubit"),
+    "transmon-budget": (_cmd_transmon_budget, "timing feasibility of the superconducting realization"),
+    "verify": (_cmd_verify, "run the full verification suite and report pass/fail"),
 }
 
 
@@ -344,28 +355,6 @@ def _render_svg(experiment: str, table: ResultTable) -> str | None:
     return None
 
 
-def _run_verify(args) -> int:
-    from . import acceptance
-
-    only = None
-    if args.only:
-        only = {int(part) for part in args.only.split(",")}
-        bad = only - set(range(1, 9))
-        if bad:
-            raise ConfigError(f"unknown criterion numbers {sorted(bad)}; valid range is 1-8")
-    results = acceptance.run_all(only=only)
-    for result in results:
-        print(result.line())
-    if args.out:
-        table = ResultTable.of_columns({"criterion": [r.number for r in results], "name": [r.name for r in results],
-                                        "passed": [r.passed for r in results],
-                                        "details": [r.details.replace(",", ";") for r in results]})
-        table.metadata = {"artifact": f"thermoclass {__version__}", "experiment": "verify"}
-        with _writing_output():
-            write_csv(table, args.out)
-    return 0 if all(r.passed for r in results) else 4
-
-
 @contextlib.contextmanager
 def _writing_output():
     """Report a failure to open or write an output file as a config error,
@@ -376,27 +365,25 @@ def _writing_output():
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, reported
+    on one line like every other."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     main call; parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thermoclass",
         description="Steady-state thermal classifier simulations: analytic, master-equation and collision-model paths.",
     )
     parser.add_argument("--version", action="version", version=f"thermoclass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "steady": "closed-form steady state and effective temperature for one reservoir set",
-        "thermalize": "effective-temperature relaxation curves for several rate pairs",
-        "sweep-gamma": "steady temperature along a rate split at fixed bath temperatures",
-        "classify-gamma": "random rate pairs labeled by the decision rule",
-        "classify-temp": "random temperature pairs labeled by the decision rule",
-        "collide": "repeated-interaction trajectory of the system qubit",
-        "transmon-budget": "timing feasibility of the superconducting realization",
-        "verify": "run the full verification suite and report pass/fail",
-    }
-    for name, desc in descriptions.items():
+    for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--config", help="key=value config file (see README for the schema)")
         p.add_argument("--out", help="output CSV path")
@@ -411,10 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _run_verify(args)
+        args = build_parser().parse_args(argv)
+        if args.svg and not args.out:
+            raise ConfigError("--svg requires --out")
         text = ""
         if args.config:
             try:
@@ -427,7 +414,8 @@ def main(argv=None) -> int:
             if "seed" not in SCHEMAS[config.experiment]:
                 raise ConfigError(f"experiment {config.experiment!r} takes no seed")
             config.settings["seed"] = args.seed
-        table = _COMMANDS[config.experiment](config, args)
+        command, _ = _COMMANDS[config.experiment]
+        table = command(config, args)
         table.metadata = {**_metadata(config), **table.metadata}
         if args.out:
             with _writing_output():
@@ -440,9 +428,7 @@ def main(argv=None) -> int:
                     svg_path = os.path.splitext(args.out)[0] + ".svg"
                     with _writing_output(), open(svg_path, "w", encoding="utf-8") as fh:
                         fh.write(svg)
-        elif args.svg:
-            raise ConfigError("--svg requires --out")
-        return 0
+        return 4 if config.experiment == "verify" and "false" in table.column("passed") else 0
     except ConfigError as exc:
         print(f"error: config: {_one_line(exc)}", file=sys.stderr)
         return 2

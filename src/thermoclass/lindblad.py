@@ -281,6 +281,13 @@ def _slowest_decay_rate(generator: np.ndarray) -> np.ndarray:
     return -generator[..., 2, 2]
 
 
+def _stride(interval: float, dt: float) -> int:
+    """The steps of dt in interval, at least 1. A count beyond the float
+    range, which round cannot make an integer, is beyond every run and is
+    taken as the largest float."""
+    return max(1, int(round(min(interval / dt, sys.float_info.max))))
+
+
 def evolve_many(
     configs,
     rho0: np.ndarray,
@@ -332,8 +339,7 @@ def evolve_many(
     if t_end / dt > sys.maxsize:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceeds the largest step count {sys.maxsize}")
     n_steps = int(round(t_end / dt))
-    record_stride = max(1, int(round(record_every / dt)))
-    check_stride = max(1, int(round(1.0 / dt)))
+    record_stride, check_stride = _stride(record_every, dt), _stride(1.0, dt)
     bounds = None
     block = record_stride
     if stop_tol is not None:
@@ -345,7 +351,7 @@ def evolve_many(
 
     y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
     marks, records, ends = channel.propagate(
-        y0, channel.repeated(step, n_steps, block), record_stride, check_stride, bounds
+        y0, channel.repeated(step, n_steps, block), n_steps, record_stride, check_stride, bounds
     )
     records = records[..., 0]
     traces = records[..., 0] + records[..., 1]

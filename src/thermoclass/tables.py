@@ -53,9 +53,11 @@ class ResultTable:
         is; an integer array becomes its decimal text, and any other column
         the UTF-8 of each cell's format_value text."""
         arrays = [_field(values) for values in columns.values()]
-        if len(set(map(len, arrays))) > 1:
+        lengths = set(map(len, arrays))
+        if len(lengths) > 1:
             raise ValueError(f"columns of unequal lengths {dict(zip(columns, map(len, arrays)))}")
-        rows = np.empty(len(arrays[0]), dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
+        # no columns give a record of no fields, which the construction rejects
+        rows = np.empty(max(lengths, default=0), dtype=[(name, a.dtype) for name, a in zip(columns, arrays)])
         for name, values in zip(columns, arrays):
             rows[name] = values
         return cls(columns=list(columns), rows=rows)

@@ -103,7 +103,7 @@ def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check
     # stop some blocks end on no record, unless record_every divides check_every
     block = math.gcd(record_every, check_every)
     marks, records, ends = channel.propagate(
-        y0, channel.repeated(step, n, block), record_every, check_every, bounds
+        y0, channel.repeated(step, n, block), n, record_every, check_every, bounds
     )
     for j in range(batch):
         alone = step_by_step(y0[j], [step[j]] * n, record_every, check_every, None if tol is None else bounds[j])

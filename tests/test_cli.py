@@ -341,6 +341,9 @@ def test_step_counts_beyond_maxsize_exit_2_with_one_line(tmp_path, capsys, comma
     ("classify-temp", "n = 1000000000000000000\n"),
     ("classify-gamma", "n = 1000000000000000000\n"),
     ("sweep-gamma", "n_points = 1000000000000000000\n"),
+    # below sys.maxsize steps, but with more records than memory holds
+    ("collide", "collisions = 1000000000000000000\n"),
+    ("thermalize", "t_end = 50000000000000000\n"),
 ])
 def test_counts_beyond_memory_exit_2_with_one_line(tmp_path, capsys, command, text):
     cfg = tmp_path / "huge.cfg"
@@ -389,12 +392,14 @@ def test_classify_calls_generate_instances_once_with_the_config_n(tmp_path, monk
 
 @pytest.mark.filterwarnings("error")
 def test_thermalize_record_stride_beyond_run_records_ends_only(tmp_path, capsys):
-    cfg = tmp_path / "sparse.cfg"
-    cfg.write_text("sample_every = 1e300\nt_end = 100\n")
-    out = tmp_path / "out.csv"
-    assert run(["thermalize", "--config", str(cfg), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    assert [row[0] for row in read_csv(out).rows] == [0.0, 100.0]
+    # at 1e308 the stride sample_every / dt is beyond the float range
+    for sample_every in ["1e300", "1e308"]:
+        cfg = tmp_path / "sparse.cfg"
+        cfg.write_text(f"sample_every = {sample_every}\nt_end = 100\n")
+        out = tmp_path / "out.csv"
+        assert run(["thermalize", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [row[0] for row in read_csv(out).rows] == [0.0, 100.0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -474,8 +479,12 @@ def test_svg_rendering(tmp_path, capsys):
 
 
 def test_svg_without_out_is_config_error(capsys):
-    assert run(["sweep-gamma", "--svg"]) == 2
-    capsys.readouterr()
+    # rejected before the run: steady prints nothing, thermalize integrates nothing
+    for command in ["steady", "thermalize", "sweep-gamma", "verify"]:
+        assert run([command, "--svg"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == "error: config: --svg requires --out\n"
 
 
 def test_collide_sampled_schedule_reproducible(tmp_path, capsys):
@@ -534,20 +543,58 @@ would deviate up to 43%))
 """
 
 
+def test_verify_reads_its_config_like_every_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("# no keys\nexperiment = verify\n")
+    assert run(["verify", "--config", str(cfg), "--only", "7"]) == 0
+    capsys.readouterr()
+    cfg.write_text("bogus = 1\n")
+    for argv, message in [
+        (["--config", str(cfg)], "error: config: line 1: unknown key 'bogus' for experiment 'verify'\n"),
+        (["--config", str(tmp_path / "missing.cfg")], "error: config: cannot read config file:"),
+        (["--seed", "1"], "error: config: experiment 'verify' takes no seed\n"),
+    ]:
+        assert run(["verify", *argv, "--only", "7"]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(message) and printed.err.count("\n") == 1
+
+
+def test_verify_notes_that_it_writes_no_svg(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    assert run(["verify", "--only", "7", "--out", str(out), "--svg"]) == 0
+    assert capsys.readouterr().err == "note: --svg not supported for verify\n"
+    assert read_csv(out).metadata == {"artifact": f"thermoclass {cli.__version__}", "experiment": "verify"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["verify.csv"]
+
+
 def test_verify_lines_match_the_reference_text(capsys):
     assert run(["verify"]) == 0
     assert re.sub(r"\d+\.\d s\)$", "<s> s)", capsys.readouterr().out, flags=re.M) == VERIFY_LINES
 
 
 def test_help_screens_render(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["--help"])
-    assert exc.value.code == 0
-    assert "subcommand" in capsys.readouterr().out.lower() or True
-    with pytest.raises(SystemExit) as exc:
-        run(["thermalize", "--help"])
-    assert exc.value.code == 0
-    capsys.readouterr()
+    for argv, text in [(["--help"], "run the full verification suite"),
+                       (["thermalize", "--help"], "relaxation curves for several rate pairs"),
+                       (["--version"], f"thermoclass {cli.__version__}")]:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        printed = capsys.readouterr()
+        assert text in printed.out and printed.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["steady", "--bogus"], "unrecognized arguments: --bogus"),
+    (["collide", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["steady", "--jobs"], "argument --jobs: expected one argument"),
+    (["nonsense"], "argument command: invalid choice: 'nonsense'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_one_line(capsys, argv, message):
+    assert run(argv) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith(f"error: config: {message}") and printed.err.count("\n") == 1
 
 
 def test_verify_exit_code_on_failure(monkeypatch, capsys):

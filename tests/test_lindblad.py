@@ -343,8 +343,9 @@ def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
     record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
     bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
     y0 = channel.to_coords(rho0)[None, :, None]
-    blocks = channel.repeated(step, int(round(t_end / dt)), math.gcd(record_stride, check_stride))
-    marks, records, ends = channel.propagate(y0, blocks, record_stride, check_stride, np.array([bound]))
+    n = int(round(t_end / dt))
+    blocks = channel.repeated(step, n, math.gcd(record_stride, check_stride))
+    marks, records, ends = channel.propagate(y0, blocks, n, record_stride, check_stride, np.array([bound]))
     assert ends[0] == marks[-1]
     return marks, records
 
@@ -480,6 +481,7 @@ def test_steady_temperature_reference_values():
 def test_effective_temperature_cases():
     assert boltzmann_temperature(1.0, 0.0, 1.0) == 0.0
     assert boltzmann_temperature(1.0, -1e-17, 1.0) == 0.0  # roundoff below an empty level
+    assert boltzmann_temperature(1.0, 1e-310, 1.0) == 0.0  # p_g / p_e overflows, without a warning
     assert boltzmann_temperature(0.5, 0.5, 1.0) == math.inf
     assert math.isnan(boltzmann_temperature(0.4, 0.6, 1.0))
     [ratio] = steady_population_ratios([(3.0, 1.0)], [(0.1, 0.1)]).tolist()

@@ -103,6 +103,11 @@ def test_row_array_shape_and_dtype_enforced():
         ResultTable(columns=[], rows=np.zeros(2, dtype=[]))
 
 
+def test_of_columns_without_columns_raises_the_table_error():
+    with pytest.raises(ValueError, match="1-D with one float64 or bytes field per column"):
+        ResultTable.of_columns({})
+
+
 def test_column_of_a_row_array_is_python_values():
     table = ResultTable.of_columns({"t": np.array([0.0, 1.5]), "y": np.array([-0.0, math.inf]),
                                     "label": np.array([b"class1", b"c"])})
