@@ -308,7 +308,9 @@ def evolve_many(
     matrix raised to the gcd of the two strides, one power per interval.
     States are recorded every `record_every` time units plus the final
     state, each renormalized to unit trace; the raw trace drift is tracked
-    on the side.
+    on the side. Without early stop every configuration runs to t_end, so
+    all trajectories share one times array and their coordinates are
+    columns of one record block.
 
     When stop_tol is set, each configuration stops early, on its own, once
     its state is within about stop_tol (trace distance) of its fixed point;
@@ -326,6 +328,8 @@ def evolve_many(
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < dt:
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
+    if not record_every > 0:
+        raise ValueError(f"record interval must be positive, got {record_every}")
     omegas, _, occupations, rates = _baths(configs)
     for config, row in zip(configs, occupations.tolist()):
         _rk4_guard(config, row, dt)
@@ -358,8 +362,13 @@ def evolve_many(
     # times the reciprocal, as numpy divides a complex 2x2 state by its real
     # trace: the curve CSVs are pinned to those bits
     normalized = records * (1.0 / traces)[..., None]
+    if stop_tol is None:
+        times = marks * dt
+        drifts = np.abs(traces - 1.0).max(axis=0).tolist()
+        return [Trajectory(times, normalized[:, j], config.omega_s, drift)
+                for j, (config, drift) in enumerate(zip(configs, drifts))]
     trajectories = []
-    for j, (config, end) in enumerate(zip(configs, np.broadcast_to(ends, len(configs)))):
+    for j, (config, end) in enumerate(zip(configs, ends)):
         # the records before row j stopped, then its state from then on,
         # which the later records repeat
         kept = marks < end

@@ -1,12 +1,15 @@
 """Minimal static SVG rendering: axes, ticks, polylines and scatter markers.
 Figures are derived artifacts here; the CSV tables stay the source of truth.
 
-Coordinates are mapped to pixels as numpy arrays. A scatter plot writes each
-marker through one printf-style template. A line plot formats the shared x
-pixels, and each series' y pixels, once per distinct value with
-_format_array (converged curves repeat a few values many times), and
-builds each polyline by concatenating object arrays of these texts. So a plot
-costs a few array operations per series rather than Python calls per point.
+Coordinates are mapped to pixels as numpy arrays, all series of a plot at
+once. Every pixel is written as "%.1f" by _tenths: a value in [0, 1000)
+whose tenfold is more than 1e-6 from a tie is looked up, by the nearest
+integer of that tenfold, in a table of the texts 0.0 ... 999.9; every other
+value goes through C's "%". The points are then laid out as fixed-width
+byte records (a polyline's x text, ",", y text and space, or a marker's
+whole <circle> element), the records of a left-out point are zeroed, and
+one bytes.translate drops the padding. So a plot costs a few array
+operations rather than Python calls per point.
 """
 
 from __future__ import annotations
@@ -53,11 +56,6 @@ class _Frame:
     def py(self, y):
         return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    def points(self, xs, ys) -> list:
-        """(px, py) pixel pairs of the points of equal-length arrays, as
-        Python floats."""
-        return list(zip(self.px(xs).tolist(), self.py(ys).tolist()))
-
 
 def _ticks(lo, hi, count=5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -92,29 +90,74 @@ def _legend(i, label, color) -> str:
             f'text-anchor="end" fill="{color}">{label}</text>')
 
 
-def _format_array(values: np.ndarray, spec: str) -> np.ndarray:
-    """The printf-style texts of a float64 array, as an object array of its
-    shape. Each distinct value is formatted once, all of them in one "%"
-    call; values are told apart by their bits, so that -0.0 and 0.0 keep
-    their own texts. spec must never write a space."""
-    distinct, where = np.unique(values.view(np.int64), return_inverse=True)
-    texts = ((spec + " ") * len(distinct) % tuple(distinct.view(np.float64).tolist())).split(" ")[:-1]
-    return np.array(texts, dtype=object)[where.reshape(values.shape)]
+_TENTHS = None  # "S7" texts of 0.0 ... 999.9, built on first use
+
+
+def _tenths_table() -> np.ndarray:
+    """The "%.1f" texts of k / 10 for k in 0 ... 9999, indexed by k."""
+    table = np.zeros((10000, 7), dtype=np.uint8)
+    for start, stop, width in ((0, 100, 1), (100, 1000, 2), (1000, 10000, 3)):
+        k, rows = np.arange(start, stop), table[start:stop]
+        for j in range(width):  # the integer digits, units first
+            rows[:, width - 1 - j] = k // 10 ** (j + 1) % 10 + ord("0")
+        rows[:, width] = ord(".")
+        rows[:, width + 1] = k % 10 + ord("0")
+    return table.view("S7")[:, 0]
+
+
+def _tenths(values: np.ndarray) -> np.ndarray:
+    """The "%.1f" texts of a float64 array, NUL-padded in a bytes array of
+    its shape, at least 7 bytes wide.
+
+    For 0 <= v, m = 10 v is rounded once, by at most 1e-12 below 1e4, so
+    where m is more than 1e-6 from a tie, rint(m) is the nearest integer to
+    the exact 10 v, the digits C writes. Such a value below 999.95 is looked
+    up in the table; every other one (ties, negatives and -0.0, 999.95 and
+    up, infinities and NaNs) is written by C's "%"."""
+    global _TENTHS
+    if _TENTHS is None:
+        _TENTHS = _tenths_table()
+    with np.errstate(over="ignore", invalid="ignore"):  # infinities and NaNs fail the test
+        scaled = values * 10.0
+        whole = np.rint(scaled)
+        fast = ~np.signbit(values) & (whole < 10000) & (np.abs(scaled - whole) < 0.5 - 1e-6)
+    slow = ~fast
+    texts = ("%.1f " * np.count_nonzero(slow) % tuple(values[slow].tolist())).split(" ")[:-1]
+    slow_texts = np.array(texts, dtype=bytes)
+    out = np.empty(values.shape, dtype=f"S{max(7, slow_texts.itemsize)}")
+    out[fast] = _TENTHS[whole[fast].astype(np.intp)]
+    out[slow] = slow_texts
+    return out
+
+
+def _records(*fields) -> np.ndarray:
+    """One fixed-width byte record per point: the fields are bytes constants
+    and arrays of texts, broadcast against each other."""
+    fields = [np.asarray(field) for field in fields]
+    records = np.empty(np.broadcast_shapes(*(field.shape for field in fields)),
+                       dtype=[(f"f{i}", field.dtype) for i, field in enumerate(fields)])
+    for i, field in enumerate(fields):
+        records[f"f{i}"] = field
+    return records
+
+
+def _text(records: np.ndarray) -> str:
+    """The records' bytes without their NUL padding."""
+    return records.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def line_plot(xs, series, labels, title="", xlabel="", ylabel="") -> str:
     """Polyline plot of one or more y-series, each with one y per x, against
     a shared x axis; points whose y is not finite are left out."""
     xs = np.asarray(xs, dtype=float)
-    series = [np.asarray(ys, dtype=float) for ys in series]
-    frame = _Frame(_axis_range(xs), _axis_range(*series))
+    ys = np.asarray(series, dtype=float).reshape(len(series), len(xs))
+    frame = _Frame(_axis_range(xs), _axis_range(ys))
     parts = _chrome(frame, title, xlabel, ylabel)
-    x_texts = _format_array(frame.px(xs), "%.1f,")
-    for i, (ys, label) in enumerate(zip(series, labels)):
+    records = _records(_tenths(frame.px(xs)), b",", _tenths(frame.py(ys)), b" ")
+    records[~np.isfinite(ys)] = np.zeros((), records.dtype)
+    for i, (points, label) in enumerate(zip(records, labels)):
         color = PALETTE[i % len(PALETTE)]
-        keep = np.isfinite(ys)
-        points = " ".join((x_texts[keep] + _format_array(frame.py(ys[keep]), "%.1f")).tolist())
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<polyline points="{_text(points)[:-1]}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_legend(i, label, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -129,8 +172,9 @@ def scatter_plot(groups, title="", xlabel="", ylabel="") -> str:
     parts = _chrome(frame, title, xlabel, ylabel)
     for i, (label, (xs, ys)) in enumerate(groups.items()):
         color = PALETTE[i % len(PALETTE)]
-        marker = f'<circle cx="%.1f" cy="%.1f" r="4" fill="{color}"/>'
-        parts.extend(map(marker.__mod__, frame.points(xs, ys)))
+        if len(xs):
+            parts.append(_text(_records(b'<circle cx="', _tenths(frame.px(xs)), b'" cy="', _tenths(frame.py(ys)),
+                                        f'" r="4" fill="{color}"/>\n'.encode())).removesuffix("\n"))
         parts.append(_legend(i, label, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

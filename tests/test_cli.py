@@ -402,6 +402,18 @@ def test_thermalize_record_stride_beyond_run_records_ends_only(tmp_path, capsys)
         assert [row[0] for row in read_csv(out).rows] == [0.0, 100.0]
 
 
+@pytest.mark.parametrize("sample_every", ["0", "-1"])
+def test_thermalize_non_positive_sample_interval_exits_2(tmp_path, capsys, sample_every):
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text(f"sample_every = {sample_every}\nt_end = 100\n")
+    out = tmp_path / "never.csv"
+    assert run(["thermalize", "--config", str(cfg), "--out", str(out), "--svg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: record interval must be positive")
+    assert err.count("\n") == 1
+    assert not out.exists() and not out.with_suffix(".svg").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("schedule", ["mixture", "sampled"])
 def test_collide_record_stride_beyond_run_records_ends_only(tmp_path, capsys, schedule):

@@ -39,6 +39,12 @@ class _Frame:
         return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - MARGIN_T - MARGIN_B)
 
 
+def _points(frame, xs, ys):
+    """(px, py) pixel pairs of the points of equal-length arrays, as Python
+    floats."""
+    return list(zip(frame.px(xs).tolist(), frame.py(ys).tolist()))
+
+
 def line_plot_per_point(xs, series, labels, title="", xlabel="", ylabel=""):
     all_y = [y for ys in series for y in ys]
     frame = _Frame(list(xs), all_y)
@@ -109,7 +115,7 @@ def test_line_plot_matches_per_point_code(inputs):
     for ys in series:
         keep = np.isfinite(ys)
         expected_points = [(reference.px(x), reference.py(y)) for x, y in zip(xs, ys) if math.isfinite(y)]
-        assert frame.points(np.asarray(xs, dtype=float)[keep], np.asarray(ys)[keep]) == expected_points
+        assert _points(frame, np.asarray(xs, dtype=float)[keep], np.asarray(ys)[keep]) == expected_points
     # arrays in, as the CLI may pass them, give the same bytes
     assert svgplot.line_plot(np.array(xs, dtype=float), [np.array(ys) for ys in series], labels,
                              title="t", xlabel="x", ylabel="y") == expected
@@ -137,9 +143,45 @@ def test_plot_corner_cases():
         ([0, 1, 2], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),  # constant series, integer x
         ([0.0, 1.0], [[math.nan, math.inf]]),        # no finite y at all
         ([], [[]]),                                  # no points
+        # non-finite y at both ends and mid-series: those records are zeroed
+        ([0, 1, 2, 3, 4], [[math.nan, 1.0, math.inf, 2.0, -math.inf], [1.0, 2.0, 3.0, 4.0, 5.0]]),
     ]
     for xs, series in cases:
         labels = ["a"] * len(series)
         assert svgplot.line_plot(xs, series, labels) == line_plot_per_point(xs, series, labels)
     groups = {"class1": ([1.0], [2.0]), "class2": ([1.0, math.nan], [2.0, 3.0])}
     assert svgplot.scatter_plot(groups) == scatter_plot_per_point(groups)
+
+
+def _c_tenths(values):
+    return [("%.1f" % v).encode() for v in values]
+
+
+# each k / 10 + 0.05 rounds to a double near a tie of "%.1f"; one ulp either
+# side of it lands on both sides of the tie
+_near_ties = st.integers(-20000, 20000).flatmap(lambda k: st.sampled_from(
+    [math.nextafter(k / 10 + 0.05, -math.inf), k / 10 + 0.05, math.nextafter(k / 10 + 0.05, math.inf)]))
+_tenths_values = st.one_of(
+    st.integers(-2000, 2000).flatmap(lambda k: st.sampled_from([k + 0.25, k + 0.75])),  # exact ties
+    _near_ties,
+    st.sampled_from([0.0, -0.0, -0.04, -0.05, 999.9499999999999, 999.95, 1000.0, 1e300, -1e300,
+                     5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]),
+    st.floats(0, 1000),
+    st.floats(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_tenths_values, max_size=40))
+def test_tenths_matches_c_formatting(values):
+    texts = svgplot._tenths(np.array(values, dtype=float))
+    assert texts.dtype.itemsize >= 7
+    assert texts.tolist() == _c_tenths(values)
+
+
+def test_tenths_matches_c_formatting_at_every_table_entry():
+    k = np.arange(10000)
+    tie = k / 10 + 0.05
+    values = np.concatenate([k / 10, np.nextafter(tie, -np.inf), tie, np.nextafter(tie, np.inf)])
+    # a 2-D array keeps its shape
+    assert svgplot._tenths(values.reshape(4, -1)).tolist() == np.array(_c_tenths(values.tolist())).reshape(4, -1).tolist()
