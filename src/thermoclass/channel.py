@@ -2,10 +2,11 @@
 (p_e, p_g, Re c, Im c), with c the |e><g| coherence, and a linear map that
 keeps matrices Hermitian acts on it as a real 4x4 matrix. The master
 equation (one RK4 step) and the collision model (one collision) are both such
-maps, so both step these coordinates through one propagate-and-record loop
-and record into one Trajectory type. Nothing reads the state between two
-records or early-stop checks, so the loop applies one precomposed matrix per
-such interval instead of one per step.
+maps, so both step these coordinates through propagate and record into one
+Trajectory type. Nothing reads the state between two records or early-stop
+checks, so propagate applies one precomposed matrix per such interval: in
+one plain loop without early stop (np.dot for a run of one row), and in
+chunks of intervals with it.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ def trace_distances(dy: np.ndarray) -> np.ndarray:
     return 0.5 * (np.abs(half_trace + radius) + np.abs(half_trace - radius))
 
 
-# rows of a fresh record buffer of propagate
+# rows of a fresh record buffer of propagate with early stop
 _FIRST_RECORDS = 16
-# blocks that propagate multiplies before it records and tests them
+# blocks that propagate with early stop multiplies before it records and tests them
 _CHUNK = 64
 
 
@@ -84,50 +85,58 @@ def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, st
     so every multiple of record_every and check_every must be a block end
     (see repeated).
 
-    The loop takes up to _CHUNK blocks at a time and only multiplies them,
-    into a chunk buffer, over the rows still stepping; the live rows of a
-    matrix are gathered once per matrix object and live set, not once per
-    block. Records and stop tests then run over the whole chunk at once. A
-    row that stops inside a chunk has its later states there overwritten
-    with its state at the stop. Without stop_bounds, a chunk whose blocks
-    all end on records, but perhaps its last, is multiplied straight into
-    the record buffer.
+    Without stop_bounds the record buffer is allocated once for every
+    record the run can make (too many fail here, with numpy's MemoryError),
+    and each block that ends on a record is multiplied straight into its
+    slot. One row, y of shape (1, 4, 1), steps as a (4,) vector through
+    (4, 4) views with np.dot, one gemv like the batched matmul, so a row
+    alone keeps its bits in a batch (the batch tests of propagate and
+    run_collisions_many check this).
+
+    With stop_bounds, up to _CHUNK blocks at a time are multiplied into a
+    chunk buffer over the rows still stepping, then recorded and tested at
+    once; a row that stops inside a chunk has its later states there
+    overwritten with its state at the stop. The record buffer doubles when
+    full, so it follows the records made, not the step count.
 
     Returns the step counts of the records, the records stacked on a new
     first axis, and the step count at which each row stopped (with
-    stop_bounds) or the last step count (without). The records go into one
-    array that doubles when full, so its size follows the records made, not
-    the step count, which early stop may leave far from reached. A run
-    without stop_bounds makes every record it can, so its buffer is
-    allocated for all of them at once: it is never copied, and records that
-    could not fit in memory fail here (numpy's MemoryError) before the first
-    step.
+    stop_bounds) or the last step count (without).
     """
     y = np.array(y, dtype=float)  # the state of every row after the blocks so far
     marks = [0]
-    stopping = stop_bounds is not None
-    records = np.empty((_FIRST_RECORDS if stopping else steps // record_every + 2, *y.shape))
+    i = 0
+    if stop_bounds is None:
+        records = np.empty((steps // record_every + 2, *y.shape))
+        records[0] = y
+        slots, product = records, np.matmul
+        one_row = y.shape == (1, 4, 1)
+        if one_row:
+            slots, product = records.reshape(len(records), 4), np.dot
+        state, source = slots[0], None
+        for count, block in blocks:
+            i += count
+            if block is not source:
+                source, matrix = block, block.reshape(4, 4) if one_row else block
+            if i % record_every and i != steps:
+                state = product(matrix, state)
+            else:
+                state = product(matrix, state, slots[len(marks)])
+                marks.append(i)
+        return np.asarray(marks), records[: len(marks)], i
+    records = np.empty((_FIRST_RECORDS, *y.shape))
     records[0] = y
-    stopped = np.full(len(y), -1) if stopping else None
+    stopped = np.full(len(y), -1)
     live = slice(None)  # the rows still stepping: all, until one stops
     n_live = len(y)
     bounds = stop_bounds
     y_check = y.copy()  # the live rows at the last check
-    buf = None
+    buf = np.empty((_CHUNK, *y.shape))
     source = gathered = None
-    i = 0
     blocks = iter(blocks)
     while chunk := list(itertools.islice(blocks, _CHUNK)):
         positions = list(itertools.accumulate([count for count, _ in chunk], initial=i))[1:]
-        on_record = [p % record_every == 0 for p in positions]
-        direct = not stopping and all(on_record[:-1])
-        if direct:
-            records = _reserve(records, len(marks) + len(chunk))
-            states = records[len(marks):]
-        else:
-            if buf is None:
-                buf = np.empty((_CHUNK, *y.shape))
-            states = buf[:, :n_live]
+        states = buf[:, :n_live]
         state = y[live]
         for k, (_, block) in enumerate(chunk):
             if block is not source:
@@ -135,24 +144,23 @@ def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, st
             state = np.matmul(gathered, state, out=states[k])
         end = len(chunk)
         hit = np.zeros(n_live, dtype=bool)  # the rows that stop in this chunk
-        if stopping:
-            checks = [k for k, p in enumerate(positions) if p % check_every == 0]
-            if checks:
-                moves = np.diff(np.concatenate([y_check[None], states[checks]]), axis=0)
-                hits = trace_distances(moves[..., 0]) < bounds
-                hit = hits.any(axis=0)
-                first = np.asarray(checks)[hits.argmax(axis=0)]
-                for row in np.flatnonzero(hit):
-                    states[first[row] + 1 : end, row] = states[first[row], row]
-                rows = np.arange(len(y))[live]
-                stopped[rows[hit]] = np.asarray(positions)[first[hit]]
-                if hit.all():
-                    end = int(first.max()) + 1
-                y_check = states[checks[-1]].copy()
+        checks = [k for k, p in enumerate(positions) if p % check_every == 0]
+        if checks:
+            moves = np.diff(np.concatenate([y_check[None], states[checks]]), axis=0)
+            hits = trace_distances(moves[..., 0]) < bounds
+            hit = hits.any(axis=0)
+            first = np.asarray(checks)[hits.argmax(axis=0)]
+            for row in np.flatnonzero(hit):
+                states[first[row] + 1 : end, row] = states[first[row], row]
+            rows = np.arange(len(y))[live]
+            stopped[rows[hit]] = np.asarray(positions)[first[hit]]
+            if hit.all():
+                end = int(first.max()) + 1
+            y_check = states[checks[-1]].copy()
         i = positions[end - 1]
         y[live] = states[end - 1]
-        kept = [k for k in range(end) if on_record[k]]
-        if not direct and kept:
+        kept = [k for k in range(end) if positions[k] % record_every == 0]
+        if kept:
             m = len(marks)
             records = _reserve(records, m + len(kept))
             if n_live < len(y):
@@ -171,8 +179,7 @@ def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, st
         records = _reserve(records, len(marks) + 1)
         records[len(marks)] = y
         marks.append(i)
-    ends = np.where(stopped < 0, i, stopped) if stopping else i
-    return np.asarray(marks), records[: len(marks)], ends
+    return np.asarray(marks), records[: len(marks)], np.where(stopped < 0, i, stopped)
 
 
 def repeated(step: np.ndarray, n: int, block: int):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,6 +111,76 @@ def test_propagate_blocks_match_step_by_step(seed, batch, n, record_every, check
         assert_row_matches_alone(marks, records[:, j], ends if tol is None else ends[j], alone)
     # the run ends where its last row stops
     assert marks[-1] == np.max(ends)
+
+
+def blockwise(y, blocks, steps, record_every):
+    """Reference for channel.propagate without early stop: one batched
+    np.matmul per block, recording where a block ends on a multiple of
+    record_every or on the last step."""
+    marks, records, i = [0], [y], 0
+    for count, block in blocks:
+        i += count
+        y = np.matmul(block, y)
+        if i % record_every == 0 or i == steps:
+            marks.append(i)
+            records.append(y)
+    return marks, np.stack(records)
+
+
+def row_blocks(blocks, j):
+    """Row j of each (b, 4, 4) block, one view per block object, so that a
+    matrix repeated by channel.repeated stays one object."""
+    views = {}
+    return [(count, views.setdefault(id(block), block[j : j + 1])) for count, block in blocks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 4), n=st.integers(1, 300),
+       stride=st.sampled_from(["1", "7", "n", "1e20"]), kind=st.sampled_from(["repeated", "sampled"]))
+# a last remainder block after full ones, of each kind
+@example(seed=3, rows=3, n=299, stride="7", kind="repeated")
+@example(seed=3, rows=3, n=299, stride="7", kind="sampled")
+def test_propagate_rows_alone_equal_their_batch_bit_for_bit(seed, rows, n, stride, kind):
+    # a one-row run steps through np.dot and a batch through np.matmul: both
+    # must give the bits of one batched matmul per block
+    record_every = {"1": 1, "7": 7, "n": n, "1e20": 10**20}[stride]
+    rng = np.random.default_rng(seed)
+    if kind == "repeated":
+        step = np.stack([0.99 * np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(rows)])
+        blocks = list(channel.repeated(step, n, record_every))
+    else:
+        # distinct matrices per block, as the sampled schedule yields them
+        maps = np.stack([0.99 * np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(3)])
+        blocks = list(collisions._sampled_blocks(maps, rng.integers(0, 3, size=(rows, n)), record_every))
+    y0 = rng.normal(size=(rows, 4, 1))
+    # Python ints: record_every * k overflows int64 at 1e20
+    expected_marks = [*range(0, n + 1, record_every), *([n] if n % record_every else [])]
+    ref_marks, ref = blockwise(y0, blocks, n, record_every)
+    assert ref_marks == expected_marks
+    marks, records, end = channel.propagate(y0, blocks, n, record_every)
+    assert marks.tolist() == expected_marks and end == n
+    assert records.tobytes() == ref.tobytes()
+    for j in range(rows):
+        alone_marks, alone, _ = channel.propagate(y0[j : j + 1], row_blocks(blocks, j), n, record_every)
+        assert alone_marks.tolist() == expected_marks
+        assert alone.tobytes() == records[:, j : j + 1].tobytes()
+
+
+def test_propagate_without_early_stop_allocates_once(monkeypatch):
+    # runs of one and of several rows, with more records than a fresh
+    # doubling buffer holds, never grow their record buffer
+    def refuse(records, size):
+        raise AssertionError("the record buffer grew")
+
+    monkeypatch.setattr(channel, "_reserve", refuse)
+    config = collisions.CollisionConfig(1.0, 0.05, 1.0, ((3.0, 0.5), (1.0, 0.5)))
+    assert len(collisions.run_collisions(qmat.ground_state(), config, 1000, 3).times) == 335
+    configs = [lindblad.make_config((3.0, 1.0), (0.1, 0.05))] * 2
+    trajs = lindblad.evolve_many(configs, qmat.ground_state(), 100.0, 0.05, stop_tol=None)
+    assert [len(traj.times) for traj in trajs] == [101, 101]
+    # an early-stop run grows its buffer, so the patch is in force
+    with pytest.raises(AssertionError, match="grew"):
+        lindblad.evolve(configs[0], qmat.ground_state(), 100.0, 0.05)
 
 
 def test_early_stop_far_below_the_step_cap_allocates_for_its_records():
