@@ -5,8 +5,8 @@ equation (one RK4 step) and the collision model (one collision) are both such
 maps, so both step these coordinates through propagate and record into one
 Trajectory type. Nothing reads the state between two records or early-stop
 checks, so propagate applies one precomposed matrix per such interval: in
-one plain loop without early stop (np.dot for a run of one row), and in
-chunks of intervals with it.
+one plain loop without early stop, and in chunks of intervals with it; a
+lone row steps with np.dot on either path.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, st
     With stop_bounds, up to _CHUNK blocks at a time are multiplied into a
     chunk buffer over the rows still stepping, then recorded and tested at
     once; a row that stops inside a chunk has its later states there
-    overwritten with its state at the stop. The record buffer doubles when
-    full, so it follows the records made, not the step count.
+    overwritten with its state at the stop. A chunk with one live row left
+    steps it with np.dot, as above. The record buffer doubles when full, so
+    it follows the records made, not the step count.
 
     Returns the step counts of the records, the records stacked on a new
     first axis, and the step count at which each row stopped (with
@@ -137,11 +138,16 @@ def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, st
     while chunk := list(itertools.islice(blocks, _CHUNK)):
         positions = list(itertools.accumulate([count for count, _ in chunk], initial=i))[1:]
         states = buf[:, :n_live]
-        state = y[live]
+        slots, product, state = states, np.matmul, y[live]
+        one_row = n_live == 1
+        if one_row:
+            slots, product, state = buf[:, 0, :, 0], np.dot, state[0, :, 0]
         for k, (_, block) in enumerate(chunk):
             if block is not source:
                 source, gathered = block, block[live]
-            state = np.matmul(gathered, state, out=states[k])
+                if one_row:
+                    gathered = gathered[0]
+            state = product(gathered, state, slots[k])
         end = len(chunk)
         hit = np.zeros(n_live, dtype=bool)  # the rows that stop in this chunk
         checks = [k for k, p in enumerate(positions) if p % check_every == 0]
@@ -225,7 +231,8 @@ class Trajectory:
     def __post_init__(self):
         if self.coords.shape != (len(self.times), 4):
             raise ValueError(f"need ({len(self.times)}, 4) coordinates, got {self.coords.shape}")
-        if np.any(np.diff(self.times) <= 0):
+        # all() of >, so that a NaN time fails too
+        if not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("times must be strictly increasing")
 
     @property

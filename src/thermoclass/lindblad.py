@@ -306,12 +306,13 @@ def evolve_many(
     applied as its exact one-step matrix (see _rk4_step), one per
     configuration, stacked; the generators and step matrices of all
     configurations are built in one batched pass. Nothing reads the states
-    between two records or early-stop checks, so the loop applies that
-    matrix raised to the gcd of the two strides, one power per interval.
-    States are recorded every `record_every` time units plus the final
-    state, each renormalized to unit trace; the raw trace drift is tracked
-    on the side. Without early stop every configuration runs to t_end, so
-    all trajectories share one times array and their coordinates are
+    between two records (or two early-stop checks), so channel.propagate
+    applies that matrix raised to the record stride (or to the gcd of the
+    record and check strides), one power per interval. States are recorded
+    every `record_every` time units plus the final state, each renormalized
+    to unit trace; max_trace_drift is the largest |trace - 1| of the raw
+    recorded states. Without early stop every configuration runs to t_end,
+    so all trajectories share one times array and their coordinates are
     columns of one record block.
 
     When stop_tol is set, each configuration stops early, on its own, once
@@ -320,18 +321,27 @@ def evolve_many(
     state moved over the last time unit and the slowest decay rate gamma_min
     of its generator: the test is
     moved < stop_tol * (1 - exp(-gamma_min * t_check)). t_end is a hard cap.
-    Each trajectory is bitwise the one evolve gives for its configuration
-    and initial state alone.
+    Each trajectory is then a copied prefix of the record block's column:
+    the records before its stop and its state at the stop. Each trajectory
+    is bitwise the one evolve gives for its configuration and initial state
+    alone.
+
+    A NaN or non-positive dt or record_every, a NaN t_end or one shorter
+    than dt, and a NaN or negative stop_tol raise ValueError.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("at least one configuration is required")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if math.isnan(t_end):
+        raise ValueError(f"t_end must be a number, got {t_end}")
     if t_end < dt:
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
     if not record_every > 0:
         raise ValueError(f"record interval must be positive, got {record_every}")
+    if stop_tol is not None and not stop_tol >= 0:
+        raise ValueError(f"stop_tol must be non-negative, got {stop_tol}")
     omegas, _, occupations, rates = _baths(configs)
     for config, row in zip(configs, occupations.tolist()):
         _rk4_guard(config, row, dt)
@@ -364,20 +374,20 @@ def evolve_many(
     # times the reciprocal, as numpy divides a complex 2x2 state by its real
     # trace: the curve CSVs are pinned to those bits
     normalized = records * (1.0 / traces)[..., None]
+    drifts = np.abs(traces - 1.0)
     if stop_tol is None:
         times = marks * dt
-        drifts = np.abs(traces - 1.0).max(axis=0).tolist()
         return [Trajectory(times, normalized[:, j], config.omega_s, drift)
-                for j, (config, drift) in enumerate(zip(configs, drifts))]
+                for j, (config, drift) in enumerate(zip(configs, drifts.max(axis=0).tolist()))]
+    # row j keeps the records before it stopped and then record c, the first
+    # to repeat its stopped state (the one at its stop or a later one), with
+    # c the count of records before the stop
     trajectories = []
-    for j, (config, end) in enumerate(zip(configs, ends)):
-        # the records before row j stopped, then its state from then on,
-        # which the later records repeat
-        kept = marks < end
-        rows = np.append(np.flatnonzero(kept), -1)
+    for j, (config, end, c) in enumerate(zip(configs, ends.tolist(), np.searchsorted(marks, ends).tolist())):
+        times = marks[: c + 1] * dt
+        times[-1] = end * dt
         trajectories.append(Trajectory(
-            np.append(marks[kept], end) * dt, normalized[rows, j], config.omega_s,
-            float(np.abs(traces[rows, j] - 1.0).max()),
+            times, normalized[: c + 1, j].copy(), config.omega_s, float(drifts[: c + 1, j].max())
         ))
     return trajectories
 

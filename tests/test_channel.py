@@ -127,6 +127,22 @@ def blockwise(y, blocks, steps, record_every):
     return marks, np.stack(records)
 
 
+@pytest.mark.parametrize("times, coords, message", [
+    ([0.0, 1.0], np.zeros((3, 4)), r"need \(2, 4\) coordinates, got \(3, 4\)"),
+    ([0.0, 1.0, 1.0], np.zeros((3, 4)), "times must be strictly increasing"),
+    ([0.0, 2.0, 1.0], np.zeros((3, 4)), "times must be strictly increasing"),
+    ([0.0, math.nan, 2.0], np.zeros((3, 4)), "times must be strictly increasing"),
+])
+def test_trajectory_rejects_bad_records(times, coords, message):
+    with pytest.raises(ValueError, match=message):
+        channel.Trajectory(np.array(times), coords, 1.0)
+
+
+def test_trajectory_accepts_one_record():
+    traj = channel.Trajectory(np.array([0.0]), np.array([[0.0, 1.0, 0.0, 0.0]]), 1.0)
+    assert traj.final_temperature == 0.0
+
+
 def row_blocks(blocks, j):
     """Row j of each (b, 4, 4) block, one view per block object, so that a
     matrix repeated by channel.repeated stays one object."""

@@ -252,6 +252,9 @@ _row = st.tuples(st.lists(_bath, min_size=1, max_size=3), st.sampled_from(("rand
 @example(seed=2, rows=[([(3.0, 0.2)], "random"), ([(2.0, 0.05)], "random"), ([(1.0, 0.1)], "slow"),
                        ([(0.5, 0.2), (5.0, 0.2)], "random"), ([(4.0, 0.01)], "fixed point")],
          steps=4000, record_steps=30, stop_tol=1e-4)
+# the fixed-point row stops at step 20, on a record step before the last one
+@example(seed=3, rows=[([(3.0, 0.1)], "fixed point"), ([(2.0, 0.05)], "random")],
+         steps=400, record_steps=10, stop_tol=1e-9)
 def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps, stop_tol):
     dt = 0.05
     rng = np.random.default_rng(seed)
@@ -268,6 +271,22 @@ def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps, st
         assert traj.max_trace_drift == alone.max_trace_drift
         if stop_tol is not None and kind != "random":
             assert traj.times[-1] == (1.0 if kind == "fixed point" else steps * dt)
+
+
+@pytest.mark.parametrize("t_end, dt, record_every, stop_tol, message", [
+    (10.0, math.nan, 1.0, None, "dt must be positive, got nan"),
+    (10.0, 0.0, 1.0, None, "dt must be positive, got 0.0"),
+    (10.0, -0.05, 1.0, None, "dt must be positive, got -0.05"),
+    (math.nan, 0.05, 1.0, None, "t_end must be a number, got nan"),
+    (0.01, 0.05, 1.0, None, "t_end=0.01 shorter than one step dt=0.05"),
+    (10.0, 0.05, math.nan, None, "record interval must be positive, got nan"),
+    (10.0, 0.05, 0.0, None, "record interval must be positive, got 0.0"),
+    (10.0, 0.05, 1.0, math.nan, "stop_tol must be non-negative, got nan"),
+    (10.0, 0.05, 1.0, -1e-9, "stop_tol must be non-negative, got -1e-09"),
+])
+def test_evolve_many_rejects_bad_grid_and_tolerance(t_end, dt, record_every, stop_tol, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evolve_many([make_config((3.0,), (0.1,))], qmat.ground_state(), t_end, dt, record_every, stop_tol)
 
 
 def test_evolve_many_rejects_mismatched_initial_states():
@@ -362,10 +381,15 @@ def test_early_stop_reject_keeps_criterion_1_runs_bitwise():
     trajs = evolve_many(configs, rho0s, t_end=4000.0, dt=0.05, record_every=10.0, stop_tol=1e-9)
     assert len({traj.times[-1] for traj in trajs}) > 1
     for config, rho0, traj in zip(configs, rho0s, trajs):
+        # alone, the row's last record is its stopped state: its trajectory
+        # is the records before the stop, then that state
         marks, records = _evolve_exact_stop(config, rho0, 4000.0, 0.05, 10.0, 1e-9)
-        last = records[-1, 0, :, 0]
-        assert traj.times[-1] == marks[-1] * 0.05 < 4000.0
-        np.testing.assert_array_equal(traj.coords[-1], last * (1.0 / (last[0] + last[1])))
+        assert marks[-1] * 0.05 < 4000.0
+        raw = records[:, 0, :, 0]
+        traces = raw[:, 0] + raw[:, 1]
+        assert traj.times.tobytes() == (marks * 0.05).tobytes()
+        assert traj.coords.tobytes() == (raw * (1.0 / traces)[:, None]).tobytes()
+        assert np.float64(traj.max_trace_drift).tobytes() == np.abs(traces - 1.0).max().tobytes()
 
 
 def test_evolve_fixed_point_stays_constant():
