@@ -3,10 +3,9 @@
 keeps matrices Hermitian acts on it as a real 4x4 matrix. The master
 equation (one RK4 step) and the collision model (one collision) are both such
 maps, so both step these coordinates through propagate and record into one
-Trajectory type. Nothing reads the state between two records or early-stop
-checks, so propagate applies one precomposed matrix per such interval: in
-one plain loop without early stop, and in chunks of intervals with it; a
-lone row steps with np.dot on either path.
+Trajectory type. Nothing reads the state between two records, so propagate
+applies one precomposed matrix per such interval in one plain loop; a lone
+row steps with np.dot.
 """
 
 from __future__ import annotations
@@ -50,142 +49,47 @@ def trace_distances(dy: np.ndarray) -> np.ndarray:
     return 0.5 * (np.abs(half_trace + radius) + np.abs(half_trace - radius))
 
 
-# rows of a fresh record buffer of propagate with early stop
-_FIRST_RECORDS = 16
-# blocks that propagate with early stop multiplies before it records and tests them
-_CHUNK = 64
-
-
-def _reserve(records: np.ndarray, size: int) -> np.ndarray:
-    """records, or a copy of it doubled in length as often as it takes to
-    hold size rows."""
-    length = len(records)
-    if size <= length:
-        return records
-    while length < size:
-        length *= 2
-    grown = np.empty((length, *records.shape[1:]))
-    grown[: len(records)] = records
-    return grown
-
-
-def propagate(y, blocks, steps: int, record_every: int, check_every: int = 1, stop_bounds=None) -> tuple:
+def propagate(y, blocks, steps: int, record_every: int) -> tuple:
     """Apply the blocks of the iterable `blocks`, (count, matrix) pairs, to y
     one after the other; each matrix advances y by `count` steps at once, and
     the counts add up to `steps`.
 
     y and each matrix may carry leading batch axes (y of shape (b, 4, 1) with
     matrices of shape (b, 4, 4) steps b states at once). Records the start,
-    every record_every-th state and the last one. `stop_bounds`, if given,
-    is an array of one bound per row of a y of shape (b, 4, 1): every
-    check_every-th step, a row stops once the trace distance between its
-    state and its state check_every steps earlier is below its bound. Later
-    records repeat a stopped row's state, and the run ends at the step where
-    the last row stops. Records and checks are made only where a block ends,
-    so every multiple of record_every and check_every must be a block end
-    (see repeated).
+    every record_every-th state and the last one. Records are made only where
+    a block ends, so every multiple of record_every must be a block end (see
+    repeated).
 
-    Without stop_bounds the record buffer is allocated once for every
-    record the run can make (too many fail here, with numpy's MemoryError),
-    and each block that ends on a record is multiplied straight into its
-    slot. One row, y of shape (1, 4, 1), steps as a (4,) vector through
-    (4, 4) views with np.dot, one gemv like the batched matmul, so a row
-    alone keeps its bits in a batch (the batch tests of propagate and
-    run_collisions_many check this).
+    The record buffer is allocated once for every record the run can make
+    (too many fail here, with numpy's MemoryError), and each block that ends
+    on a record is multiplied straight into its slot. One row, y of shape
+    (1, 4, 1), steps as a (4,) vector through (4, 4) views with np.dot, one
+    gemv like the batched matmul, so a row alone keeps its bits in a batch
+    (the batch tests of propagate and run_collisions_many check this).
 
-    With stop_bounds, up to _CHUNK blocks at a time are multiplied into a
-    chunk buffer over the rows still stepping, then recorded and tested at
-    once; a row that stops inside a chunk has its later states there
-    overwritten with its state at the stop. A chunk with one live row left
-    steps it with np.dot, as above. The record buffer doubles when full, so
-    it follows the records made, not the step count.
-
-    Returns the step counts of the records, the records stacked on a new
-    first axis, and the step count at which each row stopped (with
-    stop_bounds) or the last step count (without).
+    Returns the step counts of the records and the records stacked on a new
+    first axis.
     """
-    y = np.array(y, dtype=float)  # the state of every row after the blocks so far
+    y = np.array(y, dtype=float)
     marks = [0]
     i = 0
-    if stop_bounds is None:
-        records = np.empty((steps // record_every + 2, *y.shape))
-        records[0] = y
-        slots, product = records, np.matmul
-        one_row = y.shape == (1, 4, 1)
-        if one_row:
-            slots, product = records.reshape(len(records), 4), np.dot
-        state, source = slots[0], None
-        for count, block in blocks:
-            i += count
-            if block is not source:
-                source, matrix = block, block.reshape(4, 4) if one_row else block
-            if i % record_every and i != steps:
-                state = product(matrix, state)
-            else:
-                state = product(matrix, state, slots[len(marks)])
-                marks.append(i)
-        return np.asarray(marks), records[: len(marks)], i
-    records = np.empty((_FIRST_RECORDS, *y.shape))
+    records = np.empty((steps // record_every + 2, *y.shape))
     records[0] = y
-    stopped = np.full(len(y), -1)
-    live = slice(None)  # the rows still stepping: all, until one stops
-    n_live = len(y)
-    bounds = stop_bounds
-    y_check = y.copy()  # the live rows at the last check
-    buf = np.empty((_CHUNK, *y.shape))
-    source = gathered = None
-    blocks = iter(blocks)
-    while chunk := list(itertools.islice(blocks, _CHUNK)):
-        positions = list(itertools.accumulate([count for count, _ in chunk], initial=i))[1:]
-        states = buf[:, :n_live]
-        slots, product, state = states, np.matmul, y[live]
-        one_row = n_live == 1
-        if one_row:
-            slots, product, state = buf[:, 0, :, 0], np.dot, state[0, :, 0]
-        for k, (_, block) in enumerate(chunk):
-            if block is not source:
-                source, gathered = block, block[live]
-                if one_row:
-                    gathered = gathered[0]
-            state = product(gathered, state, slots[k])
-        end = len(chunk)
-        hit = np.zeros(n_live, dtype=bool)  # the rows that stop in this chunk
-        checks = [k for k, p in enumerate(positions) if p % check_every == 0]
-        if checks:
-            moves = np.diff(np.concatenate([y_check[None], states[checks]]), axis=0)
-            hits = trace_distances(moves[..., 0]) < bounds
-            hit = hits.any(axis=0)
-            first = np.asarray(checks)[hits.argmax(axis=0)]
-            for row in np.flatnonzero(hit):
-                states[first[row] + 1 : end, row] = states[first[row], row]
-            rows = np.arange(len(y))[live]
-            stopped[rows[hit]] = np.asarray(positions)[first[hit]]
-            if hit.all():
-                end = int(first.max()) + 1
-            y_check = states[checks[-1]].copy()
-        i = positions[end - 1]
-        y[live] = states[end - 1]
-        kept = [k for k in range(end) if positions[k] % record_every == 0]
-        if kept:
-            m = len(marks)
-            records = _reserve(records, m + len(kept))
-            if n_live < len(y):
-                records[m : m + len(kept)] = y
-            records[m : m + len(kept), live] = states[kept]
-        marks += [positions[k] for k in kept]
-        if hit.any():
-            if hit.all():
-                break
-            live = rows[~hit]
-            n_live = len(live)
-            bounds = bounds[~hit]
-            y_check = y_check[~hit]
-            source = None
-    if marks[-1] != i:
-        records = _reserve(records, len(marks) + 1)
-        records[len(marks)] = y
-        marks.append(i)
-    return np.asarray(marks), records[: len(marks)], np.where(stopped < 0, i, stopped)
+    slots, product = records, np.matmul
+    one_row = y.shape == (1, 4, 1)
+    if one_row:
+        slots, product = records.reshape(len(records), 4), np.dot
+    state, source = slots[0], None
+    for count, block in blocks:
+        i += count
+        if block is not source:
+            source, matrix = block, block.reshape(4, 4) if one_row else block
+        if i % record_every and i != steps:
+            state = product(matrix, state)
+        else:
+            state = product(matrix, state, slots[len(marks)])
+            marks.append(i)
+    return np.asarray(marks), records[: len(marks)]
 
 
 def repeated(step: np.ndarray, n: int, block: int):

@@ -151,7 +151,7 @@ def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1
         blocks = _sampled_blocks(np.concatenate(maps), picks, record_every)
 
     y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
-    marks, coords, _ = channel.propagate(y0, blocks, n, record_every)
+    marks, coords = channel.propagate(y0, blocks, n, record_every)
     # copied out, so that no trajectory keeps propagate's whole record buffer alive
     return [
         Trajectory(times=marks, coords=coords[:, j, :, 0].copy(), omega=config.frequency)

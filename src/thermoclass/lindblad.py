@@ -70,9 +70,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Mean occupation 1/(exp(omega/T) - 1) of a mode at temperature T; 0 at
     T=0 and wherever exp(omega/T) overflows, inf wherever omega/T underflows
     to 0."""
-    if omega <= 0:
+    # not >, not >=: so that NaN fails too
+    if not omega > 0:
         raise ValueError(f"mode frequency must be positive, got {omega}")
-    if temperature < 0:
+    if not temperature >= 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     if temperature == 0:
         return 0.0
@@ -91,31 +92,21 @@ def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
 
 
-def _apply_generators(omegas, occupations, rates, rho: np.ndarray, dissipators=None) -> np.ndarray:
+def _apply_generators(omegas, occupations, rates, rho: np.ndarray) -> np.ndarray:
     """Linear action of b generators on arbitrary 2x2 matrices: rho is a
     (b, ..., 2, 2) stack, or broadcasts to one, whose j-th entry the j-th
     generator acts on. omegas is (b,), occupations and rates are (b, k), one
-    column per bath; a bath of rate 0 is padding and adds nothing.
-    `dissipators` may hold the (D[sigma_-] rho, D[sigma_+] rho) pair when it
-    is known already."""
+    column per bath; a bath of rate 0 is padding and adds nothing."""
     lead = (slice(None),) + (None,) * (rho.ndim - 1)  # (b,) values against rho's axes
     h = (0.5 * np.asarray(omegas))[lead] * qmat.pauli("z")
     out = -1j * (h @ rho - rho @ h)
-    down, up = dissipators or _dissipators(rho)
+    # D[sigma_-] rho and D[sigma_+] rho, which every bath scales by its own
+    # emission and absorption rates
+    down, up = _dissipator(qmat.pauli("minus"), rho), _dissipator(qmat.pauli("plus"), rho)
     for n, rate in zip(np.asarray(occupations).T, np.asarray(rates).T):
         n, active = n[lead], (rate > 0)[lead]
         np.add(out, rate[lead] * ((n + 1.0) * down + n * up), out=out, where=active)
     return out
-
-
-def _dissipators(rho: np.ndarray) -> tuple:
-    """D[sigma_-] rho and D[sigma_+] rho, which every bath scales by its own
-    emission and absorption rates."""
-    return _dissipator(qmat.pauli("minus"), rho), _dissipator(qmat.pauli("plus"), rho)
-
-
-# the _dissipators of channel.BASIS, which every real generator build reuses
-_BASIS_DISSIPATORS = _dissipators(channel.BASIS)
 
 
 def _baths(configs) -> tuple:
@@ -136,7 +127,7 @@ def _real_generators(omegas, occupations, rates) -> np.ndarray:
     """The (b, 4, 4) real generators of b configurations (see
     _apply_generators for the arguments), all built in one pass over the
     coordinate basis."""
-    out = _apply_generators(omegas, occupations, rates, channel.BASIS[None], _BASIS_DISSIPATORS)
+    out = _apply_generators(omegas, occupations, rates, channel.BASIS[None])
     return channel.to_coords(out).swapaxes(1, 2).copy()
 
 
@@ -275,14 +266,6 @@ def _rk4_step(generator: np.ndarray, dt: float) -> np.ndarray:
     return np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk @ (np.eye(4) + hk / 4.0) / 3.0) / 2.0)
 
 
-def _slowest_decay_rate(generator: np.ndarray) -> np.ndarray:
-    """Slowest nonzero decay rate of a real generator, or of each of a stack:
-    the coherence decay rate Gamma_Sigma / 2, its Re c diagonal entry. The
-    generator is block diagonal with eigenvalues 0, -Gamma_Sigma and
-    -Gamma_Sigma / 2 +- i omega."""
-    return -generator[..., 2, 2]
-
-
 def _stride(interval: float, dt: float) -> int:
     """The steps of dt in interval, at least 1. A count beyond the float
     range, which round cannot make an integer, is beyond every run and is
@@ -290,44 +273,27 @@ def _stride(interval: float, dt: float) -> int:
     return max(1, int(round(min(interval / dt, sys.float_info.max))))
 
 
-def evolve_many(
-    configs,
-    rho0: np.ndarray,
-    t_end: float,
-    dt: float,
-    record_every: float = 1.0,
-    stop_tol: float | None = None,
-) -> list[Trajectory]:
+def evolve_many(configs, rho0: np.ndarray, t_end: float, dt: float, record_every: float = 1.0) -> list[Trajectory]:
     """Integrate the master equation of several configurations at once with
-    fixed-step RK4 on one shared time grid, all from the state rho0 or each
-    from its own state of a (len(configs), 2, 2) stack rho0.
+    fixed-step RK4 on one shared time grid from 0 to t_end, all from the
+    state rho0 or each from its own state of a (len(configs), 2, 2) stack
+    rho0.
 
     The generator is linear and time independent, so the RK4 update is
     applied as its exact one-step matrix (see _rk4_step), one per
     configuration, stacked; the generators and step matrices of all
     configurations are built in one batched pass. Nothing reads the states
-    between two records (or two early-stop checks), so channel.propagate
-    applies that matrix raised to the record stride (or to the gcd of the
-    record and check strides), one power per interval. States are recorded
-    every `record_every` time units plus the final state, each renormalized
-    to unit trace; max_trace_drift is the largest |trace - 1| of the raw
-    recorded states. Without early stop every configuration runs to t_end,
-    so all trajectories share one times array and their coordinates are
-    columns of one record block.
-
-    When stop_tol is set, each configuration stops early, on its own, once
-    its state is within about stop_tol (trace distance) of its fixed point;
-    its trajectory ends there. The distance is estimated from how far the
-    state moved over the last time unit and the slowest decay rate gamma_min
-    of its generator: the test is
-    moved < stop_tol * (1 - exp(-gamma_min * t_check)). t_end is a hard cap.
-    Each trajectory is then a copied prefix of the record block's column:
-    the records before its stop and its state at the stop. Each trajectory
-    is bitwise the one evolve gives for its configuration and initial state
+    between two records, so channel.propagate applies that matrix raised to
+    the record stride, one power per interval. States are recorded every
+    `record_every` time units plus the final state, each renormalized to
+    unit trace; max_trace_drift is the largest |trace - 1| of the raw
+    recorded states. All trajectories share one times array, and their
+    coordinates are columns of one record block, so each row is bitwise the
+    trajectory that evolve gives for its configuration and initial state
     alone.
 
-    A NaN or non-positive dt or record_every, a NaN t_end or one shorter
-    than dt, and a NaN or negative stop_tol raise ValueError.
+    A NaN or non-positive dt or record_every, and a NaN t_end or one shorter
+    than dt, raise ValueError.
     """
     configs = list(configs)
     if not configs:
@@ -340,13 +306,10 @@ def evolve_many(
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
     if not record_every > 0:
         raise ValueError(f"record interval must be positive, got {record_every}")
-    if stop_tol is not None and not stop_tol >= 0:
-        raise ValueError(f"stop_tol must be non-negative, got {stop_tol}")
     omegas, _, occupations, rates = _baths(configs)
     for config, row in zip(configs, occupations.tolist()):
         _rk4_guard(config, row, dt)
-    generators = _real_generators(omegas, occupations, rates)
-    step = _rk4_step(generators, dt)
+    step = _rk4_step(_real_generators(omegas, occupations, rates), dt)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape not in ((2, 2), (len(configs), 2, 2)):
         raise ValueError(f"need one 2x2 initial state or {len(configs)} of them, got shape {rho0.shape}")
@@ -355,52 +318,20 @@ def evolve_many(
     if t_end / dt > sys.maxsize:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceeds the largest step count {sys.maxsize}")
     n_steps = int(round(t_end / dt))
-    record_stride, check_stride = _stride(record_every, dt), _stride(1.0, dt)
-    bounds = None
-    block = record_stride
-    if stop_tol is not None:
-        block = math.gcd(record_stride, check_stride)
-        t_check = check_stride * dt
-        # math.expm1 row by row: np.expm1 differs from it in the last bit for some inputs
-        decay_rates = _slowest_decay_rate(generators).tolist()
-        bounds = np.array([-stop_tol * math.expm1(-rate * t_check) for rate in decay_rates])
-
+    stride = _stride(record_every, dt)
     y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
-    marks, records, ends = channel.propagate(
-        y0, channel.repeated(step, n_steps, block), n_steps, record_stride, check_stride, bounds
-    )
+    marks, records = channel.propagate(y0, channel.repeated(step, n_steps, stride), n_steps, stride)
     records = records[..., 0]
     traces = records[..., 0] + records[..., 1]
     # times the reciprocal, as numpy divides a complex 2x2 state by its real
     # trace: the curve CSVs are pinned to those bits
     normalized = records * (1.0 / traces)[..., None]
-    drifts = np.abs(traces - 1.0)
-    if stop_tol is None:
-        times = marks * dt
-        return [Trajectory(times, normalized[:, j], config.omega_s, drift)
-                for j, (config, drift) in enumerate(zip(configs, drifts.max(axis=0).tolist()))]
-    # row j keeps the records before it stopped and then record c, the first
-    # to repeat its stopped state (the one at its stop or a later one), with
-    # c the count of records before the stop
-    trajectories = []
-    for j, (config, end, c) in enumerate(zip(configs, ends.tolist(), np.searchsorted(marks, ends).tolist())):
-        times = marks[: c + 1] * dt
-        times[-1] = end * dt
-        trajectories.append(Trajectory(
-            times, normalized[: c + 1, j].copy(), config.omega_s, float(drifts[: c + 1, j].max())
-        ))
-    return trajectories
+    times = marks * dt
+    return [Trajectory(times, normalized[:, j], config.omega_s, drift)
+            for j, (config, drift) in enumerate(zip(configs, np.abs(traces - 1.0).max(axis=0).tolist()))]
 
 
-def evolve(
-    config: SystemConfig,
-    rho0: np.ndarray,
-    t_end: float,
-    dt: float,
-    record_every: float = 1.0,
-    stop_tol: float | None = 1e-9,
-) -> Trajectory:
+def evolve(config: SystemConfig, rho0: np.ndarray, t_end: float, dt: float, record_every: float = 1.0) -> Trajectory:
     """Integrate the master equation of one configuration with fixed-step
-    RK4 (see evolve_many), by default stopping early within about 1e-9 of
-    the fixed point."""
-    return evolve_many([config], rho0, t_end, dt, record_every, stop_tol)[0]
+    RK4 from 0 to t_end (see evolve_many)."""
+    return evolve_many([config], rho0, t_end, dt, record_every)[0]

@@ -8,6 +8,7 @@ dynamics modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -45,13 +46,14 @@ class TimingBudget:
     t1_relax_us: float
 
     def __post_init__(self):
-        if self.tau_int_ns <= 0:
+        # not >, not >=: so that NaN fails too
+        if not self.tau_int_ns > 0:
             raise ValueError(f"interaction time must be positive, got {self.tau_int_ns}")
-        if self.tau_pr_ns < 0 or self.tau_r_ns < 0:
+        if not (self.tau_pr_ns >= 0 and self.tau_r_ns >= 0):
             raise ValueError("preparation and reset times must be >= 0")
-        if self.n_collisions < 1:
+        if not self.n_collisions >= 1:
             raise ValueError(f"need at least one collision, got {self.n_collisions}")
-        if self.t1_relax_us <= 0:
+        if not self.t1_relax_us > 0:
             raise ValueError(f"relaxation time must be positive, got {self.t1_relax_us}")
 
 
@@ -71,13 +73,19 @@ def budget_report(budget: TimingBudget, classical_baseline_ms: float = 1.0) -> B
 
     Reference point: 2000 collisions of 5 ns each run in 10 us; reaching the
     steady state in fewer collisions shortens that proportionally (1500
-    collisions come in at 7.5 us)."""
-    if classical_baseline_ms <= 0:
+    collisions come in at 7.5 us). A total time or a speedup that is not a
+    positive finite number (a cycle so short or so long that it underflows
+    or overflows) raises ValueError."""
+    if not classical_baseline_ms > 0:
         raise ValueError(f"classical baseline must be positive, got {classical_baseline_ms}")
     cycle_ns = budget.tau_int_ns + budget.tau_pr_ns + budget.tau_r_ns
     total_us = budget.n_collisions * cycle_ns * 1e-3
+    if not 0 < total_us < math.inf:
+        raise ValueError(f"total run time {total_us:g} us is not a positive finite number")
     feasible = total_us < budget.t1_relax_us
     speedup = classical_baseline_ms * 1e3 / total_us
+    if not 0 < speedup < math.inf:
+        raise ValueError(f"speedup {speedup:g} over the classical baseline is not a positive finite number")
     verdict = "feasible" if feasible else "infeasible"
     text = (
         f"total={total_us:g} us over {budget.n_collisions} collisions "

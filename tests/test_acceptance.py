@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import steady_state
 from thermoclass import acceptance, channel, collisions, lindblad, qmat
 
 
@@ -19,6 +20,24 @@ def _check(result):
 
 def test_criterion_1_ode_matches_analytic_steady_state():
     _check(acceptance.check_ode_matches_analytic())
+
+
+def test_criterion_1_runs_every_trajectory_to_t_end(monkeypatch):
+    # the batch that criterion 1 integrates, caught on its way out
+    evolve_many, runs = lindblad.evolve_many, []
+
+    def recorded(configs, *args, **kwargs):
+        configs = list(configs)
+        runs.append((configs, evolve_many(configs, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(lindblad, "evolve_many", recorded)
+    assert acceptance.check_ode_matches_analytic().passed
+    [(configs, trajs)] = runs
+    assert len(trajs) == 100
+    for config, traj in zip(configs, trajs):
+        assert traj.times[-1] == 4000.0
+        assert qmat.trace_distance(traj.final_state, steady_state(config)) < 1e-12
 
 
 def test_criterion_2_relaxation_curve_asymptotes():

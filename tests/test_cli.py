@@ -172,6 +172,21 @@ def test_non_finite_number_exits_2(tmp_path, capsys, command, text):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("tau_int_ns = 5e-324\ncollisions = 1\n", "total run time 0 us is not a positive finite number"),
+    ("tau_int_ns = 1e-308\ncollisions = 1\n", "speedup inf over the classical baseline is not"),
+    ("tau_int_ns = 1e308\n", "total run time inf us is not a positive finite number"),
+])
+def test_transmon_budget_out_of_float_range_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(text)
+    assert run(["transmon-budget", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err.startswith(f"error: config: {message}")
+    assert printed.err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("command, text, code", [
     ("classify-temp", "gamma = 0.5\n", 3),
     ("classify-temp", "gamma = 0\n", 2),
@@ -538,10 +553,10 @@ def test_verify_writes_parseable_results_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-# `thermoclass verify` at the commit that batched the collision criteria,
-# elapsed seconds masked
+# `thermoclass verify` with elapsed seconds masked; criterion 1 runs every
+# configuration to its t_end
 VERIFY_LINES = """\
-[1/8] ode-vs-analytic steady state: PASS (100 configs, max trace distance 2.85e-10, <s> s)
+[1/8] ode-vs-analytic steady state: PASS (100 configs, max trace distance 6.55e-15, <s> s)
 [2/8] relaxation-curve asymptotes: PASS (finals 2.013636, 2.343694, 1.681284; max err 4.33e-10; equal-rate vs mean 0.68%)
 [3/8] rate-sweep endpoints/monotonicity/linearity: PASS (endpoint err 0.0e+00, monotone=True, chord deviation 0.01467 <= 0.0147)
 [4/8] collision homogenization: PASS (T=0.5: 1912 collisions, T=1.0: 2237 collisions, T=2.0: 2373 collisions, \

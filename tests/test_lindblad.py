@@ -50,13 +50,18 @@ def test_thermal_occupation_values():
     # omega/T underflows: 1/expm1 overflows, at 0 as below it
     assert thermal_occupation(1e-10, 1e308) == math.inf
     assert thermal_occupation(1e-300, 1e300) == math.inf
+    assert thermal_occupation(1.0, math.inf) == math.inf
 
 
-def test_thermal_occupation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        thermal_occupation(0.0, 1.0)
-    with pytest.raises(ValueError):
-        thermal_occupation(1.0, -0.5)
+@pytest.mark.parametrize("omega, temperature, message", [
+    (0.0, 1.0, "mode frequency must be positive, got 0.0"),
+    (math.nan, 1.0, "mode frequency must be positive, got nan"),
+    (1.0, -0.5, "temperature must be >= 0, got -0.5"),
+    (1.0, math.nan, "temperature must be >= 0, got nan"),
+])
+def test_thermal_occupation_rejects_bad_input(omega, temperature, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        thermal_occupation(omega, temperature)
 
 
 def test_config_validation():
@@ -162,12 +167,11 @@ _setup_config = st.tuples(
 
 
 @settings(max_examples=150, deadline=None)
-@given(configs=st.lists(_setup_config, min_size=1, max_size=6), dt_share=st.floats(0.01, 1.0),
-       stop_tol=st.floats(1e-12, 1e-2))
-def test_batched_setup_matches_each_configuration_alone(configs, dt_share, stop_tol):
+@given(configs=st.lists(_setup_config, min_size=1, max_size=6), dt_share=st.floats(0.01, 1.0))
+def test_batched_setup_matches_each_configuration_alone(configs, dt_share):
     # configurations with 1-4 baths, T = 0 ones included, padded to the
-    # widest: the stacked generators, RK4 step matrices and early-stop bounds
-    # are bit for bit those each configuration gives alone
+    # widest: the stacked generators and RK4 step matrices are bit for bit
+    # those each configuration gives alone
     configs = [make_config([t for t, _ in baths], [g * omega for _, g in baths], omega) for baths, omega in configs]
     dt = dt_share * lindblad.RK4_ROTATION_MAX / max(config.omega_s for config in configs)
     omegas, temps, occupations, rates = lindblad._baths(configs)
@@ -181,16 +185,13 @@ def test_batched_setup_matches_each_configuration_alone(configs, dt_share, stop_
     assert generators.tobytes() == np.stack(alone).tobytes()
     steps = lindblad._rk4_step(generators, dt)
     assert steps.tobytes() == np.stack([lindblad._rk4_step(k, dt) for k in alone]).tobytes()
-    # the bounds as evolve_many computes them, with math.expm1
-    bounds = [-stop_tol * math.expm1(-rate * 20 * dt) for rate in lindblad._slowest_decay_rate(generators).tolist()]
-    assert bounds == [-stop_tol * math.expm1(-float(lindblad._slowest_decay_rate(k)) * 20 * dt) for k in alone]
 
 
 @settings(max_examples=200, deadline=None)
 @given(baths=st.lists(st.tuples(_generator_temperature, st.floats(1e-6, 0.2)), min_size=1, max_size=5),
        omega=st.sampled_from((1.0, 0.3, 7.0)))
 def test_real_generator_matches_dissipators_built_per_bath(baths, omega):
-    # the two basis dissipators are computed once, at import; the generator
+    # the two basis dissipators are computed once per build; the generator
     # is bit for bit the one that recomputes them for every bath
     config = make_config([t for t, _ in baths], [g * omega for _, g in baths], omega)
     basis = channel.BASIS
@@ -211,51 +212,30 @@ def test_evolve_reference_asymptotes():
         assert abs(traj.final_temperature - expected) < 1e-3
 
 
-def test_evolve_does_not_stop_early_when_relaxation_is_slow():
-    # at rates 1e-10 the state moves less than 1e-9 per time unit from the
-    # start, far from its steady temperature 2.014; the stop test must scale
-    # with the slowest decay rate instead of reading that as convergence
-    config = make_config((3.0, 1.0), (1e-10, 1e-10))
-    traj = evolve(config, qmat.ground_state(), t_end=200.0, dt=0.05)
-    assert traj.times[-1] == 200.0
-    # at ordinary rates it still stops long before the cap, within about
-    # stop_tol of the steady state
-    config = make_config((3.0, 1.0), (0.1, 0.1))
-    traj = evolve(config, qmat.ground_state(), t_end=4000.0, dt=0.05, stop_tol=1e-9)
-    assert traj.times[-1] < 100.0
-    assert qmat.trace_distance(traj.final_state, steady_state(config)) < 1e-9
-
-
 def test_evolve_many_matches_one_at_a_time():
     configs = [make_config((3.0, 1.0), rates) for rates in ((0.1, 0.1), (0.1, 0.05), (0.02, 0.1))]
     rho0 = qmat.random_density_matrix(np.random.default_rng(5))
     together = evolve_many(configs, rho0, t_end=60.0, dt=0.05, record_every=2.5)
     for config, traj in zip(configs, together):
-        alone = evolve(config, rho0, t_end=60.0, dt=0.05, record_every=2.5, stop_tol=None)
+        alone = evolve(config, rho0, t_end=60.0, dt=0.05, record_every=2.5)
         np.testing.assert_array_equal(traj.times, alone.times)
         np.testing.assert_array_equal(traj.coords, alone.coords)
         assert traj.max_trace_drift == alone.max_trace_drift
 
 
 _bath = st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 5.0)), st.floats(0.01, 0.2))
-# a random start; the closed-form steady state, which settles at the first
-# check; rates scaled down to 1e-9 of these, which never settle before t_end
+# a random start; the closed-form steady state; rates scaled down to 1e-9 of
+# these, which barely move before t_end
 _row = st.tuples(st.lists(_bath, min_size=1, max_size=3), st.sampled_from(("random", "fixed point", "slow")))
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.lists(_row, min_size=1, max_size=5),
-       steps=st.integers(20, 4000), record_steps=st.integers(1, 400),
-       stop_tol=st.one_of(st.none(), st.floats(1e-9, 1e-3)))
-@example(seed=1, rows=[([(3.0, 0.1)], "fixed point"), ([(0.0, 0.02), (4.0, 0.2)], "fixed point")],
-         steps=400, record_steps=7, stop_tol=1e-9)
+       steps=st.integers(20, 4000), record_steps=st.integers(1, 400))
 @example(seed=2, rows=[([(3.0, 0.2)], "random"), ([(2.0, 0.05)], "random"), ([(1.0, 0.1)], "slow"),
                        ([(0.5, 0.2), (5.0, 0.2)], "random"), ([(4.0, 0.01)], "fixed point")],
-         steps=4000, record_steps=30, stop_tol=1e-4)
-# the fixed-point row stops at step 20, on a record step before the last one
-@example(seed=3, rows=[([(3.0, 0.1)], "fixed point"), ([(2.0, 0.05)], "random")],
-         steps=400, record_steps=10, stop_tol=1e-9)
-def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps, stop_tol):
+         steps=4000, record_steps=30)
+def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps):
     dt = 0.05
     rng = np.random.default_rng(seed)
     configs, rho0s = [], []
@@ -263,30 +243,27 @@ def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps, st
         scale = 1e-9 if kind == "slow" else 1.0
         configs.append(make_config([t for t, _ in baths], [g * scale for _, g in baths]))
         rho0s.append(steady_state(configs[-1]) if kind == "fixed point" else qmat.random_density_matrix(rng))
-    together = evolve_many(configs, np.array(rho0s), steps * dt, dt, record_steps * dt, stop_tol)
-    for (_, kind), config, rho0, traj in zip(rows, configs, rho0s, together):
-        alone = evolve(config, rho0, steps * dt, dt, record_steps * dt, stop_tol)
+    together = evolve_many(configs, np.array(rho0s), steps * dt, dt, record_steps * dt)
+    for config, rho0, traj in zip(configs, rho0s, together):
+        alone = evolve(config, rho0, steps * dt, dt, record_steps * dt)
         np.testing.assert_array_equal(traj.times, alone.times)
         np.testing.assert_array_equal(traj.coords, alone.coords)
         assert traj.max_trace_drift == alone.max_trace_drift
-        if stop_tol is not None and kind != "random":
-            assert traj.times[-1] == (1.0 if kind == "fixed point" else steps * dt)
+        assert traj.times[-1] == steps * dt
 
 
-@pytest.mark.parametrize("t_end, dt, record_every, stop_tol, message", [
-    (10.0, math.nan, 1.0, None, "dt must be positive, got nan"),
-    (10.0, 0.0, 1.0, None, "dt must be positive, got 0.0"),
-    (10.0, -0.05, 1.0, None, "dt must be positive, got -0.05"),
-    (math.nan, 0.05, 1.0, None, "t_end must be a number, got nan"),
-    (0.01, 0.05, 1.0, None, "t_end=0.01 shorter than one step dt=0.05"),
-    (10.0, 0.05, math.nan, None, "record interval must be positive, got nan"),
-    (10.0, 0.05, 0.0, None, "record interval must be positive, got 0.0"),
-    (10.0, 0.05, 1.0, math.nan, "stop_tol must be non-negative, got nan"),
-    (10.0, 0.05, 1.0, -1e-9, "stop_tol must be non-negative, got -1e-09"),
+@pytest.mark.parametrize("t_end, dt, record_every, message", [
+    (10.0, math.nan, 1.0, "dt must be positive, got nan"),
+    (10.0, 0.0, 1.0, "dt must be positive, got 0.0"),
+    (10.0, -0.05, 1.0, "dt must be positive, got -0.05"),
+    (math.nan, 0.05, 1.0, "t_end must be a number, got nan"),
+    (0.01, 0.05, 1.0, "t_end=0.01 shorter than one step dt=0.05"),
+    (10.0, 0.05, math.nan, "record interval must be positive, got nan"),
+    (10.0, 0.05, 0.0, "record interval must be positive, got 0.0"),
 ])
-def test_evolve_many_rejects_bad_grid_and_tolerance(t_end, dt, record_every, stop_tol, message):
+def test_evolve_many_rejects_bad_grid(t_end, dt, record_every, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        evolve_many([make_config((3.0,), (0.1,))], qmat.ground_state(), t_end, dt, record_every, stop_tol)
+        evolve_many([make_config((3.0,), (0.1,))], qmat.ground_state(), t_end, dt, record_every)
 
 
 def test_evolve_many_rejects_mismatched_initial_states():
@@ -302,11 +279,10 @@ def test_evolve_many_rejects_mismatched_initial_states():
 @given(seed=st.integers(0, 2**32 - 1),
        baths=st.lists(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.01, 10.0)), st.floats(1e-3, 0.2)),
                                min_size=1, max_size=4), min_size=1, max_size=4),
-       dt_share=st.floats(0.01, 1.0), steps=st.integers(1, 3000), record_steps=st.integers(1, 200),
-       stop_tol=st.sampled_from((None, 1e-9)))
+       dt_share=st.floats(0.01, 1.0), steps=st.integers(1, 3000), record_steps=st.integers(1, 200))
 # dt = 0.1 / fastest rounds to a dt with dt * fastest = 0.10000000000000002
-@example(seed=0, baths=[[(0.0, 0.14906805485262975)]], dt_share=1.0, steps=1, record_steps=1, stop_tol=None)
-def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, record_steps, stop_tol):
+@example(seed=0, baths=[[(0.0, 0.14906805485262975)]], dt_share=1.0, steps=1, record_steps=1)
+def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, record_steps):
     # the generator is block diagonal with eigenvalues 0, -G and -G/2 +- i omega,
     # G = sum_i Gamma_i (2 nbar_i + 1): p_e relaxes to p_ss = sum_i Gamma_i nbar_i / G
     # at rate G, and the coherence decays at G/2 while it rotates at omega
@@ -319,7 +295,7 @@ def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, reco
         dt = math.nextafter(dt, 0.0)
     rng = np.random.default_rng(seed)
     rho0s = np.array([qmat.random_density_matrix(rng) for _ in configs])
-    trajs = evolve_many(configs, rho0s, steps * dt, dt, record_steps * dt, stop_tol)
+    trajs = evolve_many(configs, rho0s, steps * dt, dt, record_steps * dt)
     for config, rho0, traj in zip(configs, rho0s, trajs):
         nbar = np.array([thermal_occupation(1.0, t) for t in config.temperatures])
         total = float(np.sum(np.array(config.rates) * (2.0 * nbar + 1.0)))
@@ -350,52 +326,13 @@ def test_slowest_decay_rate_matches_eigenvalues(baths, omega):
     # the eigenvalues are 0, -G and -G/2 +- i omega: the coherence rate G/2
     # is the slowest nonzero one, and it sits on the generator's diagonal
     generator = real_generator(make_config([t for t, _ in baths], [g * omega for _, g in baths], omega))
-    assert lindblad._slowest_decay_rate(generator) == float(np.sort(-np.linalg.eigvals(generator).real)[1])
-
-
-def _evolve_exact_stop(config, rho0, t_end, dt, record_every, stop_tol):
-    """Reference for evolve's early stop: one configuration alone through
-    channel.propagate, with its stop bound written out. Returns the step
-    marks and the raw (unnormalized) records."""
-    generator = real_generator(config)
-    step = lindblad._rk4_step(generator, dt)[None]
-    record_stride, check_stride = int(round(record_every / dt)), int(round(1.0 / dt))
-    bound = -stop_tol * math.expm1(-lindblad._slowest_decay_rate(generator) * check_stride * dt)
-    y0 = channel.to_coords(rho0)[None, :, None]
-    n = int(round(t_end / dt))
-    blocks = channel.repeated(step, n, math.gcd(record_stride, check_stride))
-    marks, records, ends = channel.propagate(y0, blocks, n, record_stride, check_stride, np.array([bound]))
-    assert ends[0] == marks[-1]
-    return marks, records
-
-
-def test_early_stop_reject_keeps_criterion_1_runs_bitwise():
-    # criterion 1's 100 configurations and initial states, run as it runs
-    # them: in one batch, each row stopping on its own
-    rng = np.random.default_rng(20240101)
-    configs, rho0s = [], []
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        configs.append(make_config(rng.uniform(0.5, 5.0, n), rng.uniform(0.01, 0.1, n)))
-        rho0s.append(qmat.random_density_matrix(rng))
-    trajs = evolve_many(configs, rho0s, t_end=4000.0, dt=0.05, record_every=10.0, stop_tol=1e-9)
-    assert len({traj.times[-1] for traj in trajs}) > 1
-    for config, rho0, traj in zip(configs, rho0s, trajs):
-        # alone, the row's last record is its stopped state: its trajectory
-        # is the records before the stop, then that state
-        marks, records = _evolve_exact_stop(config, rho0, 4000.0, 0.05, 10.0, 1e-9)
-        assert marks[-1] * 0.05 < 4000.0
-        raw = records[:, 0, :, 0]
-        traces = raw[:, 0] + raw[:, 1]
-        assert traj.times.tobytes() == (marks * 0.05).tobytes()
-        assert traj.coords.tobytes() == (raw * (1.0 / traces)[:, None]).tobytes()
-        assert np.float64(traj.max_trace_drift).tobytes() == np.abs(traces - 1.0).max().tobytes()
+    assert -generator[2, 2] == float(np.sort(-np.linalg.eigvals(generator).real)[1])
 
 
 def test_evolve_fixed_point_stays_constant():
     config = make_config((2.0,), (0.1,))
     gibbs = qmat.qubit_thermal_state(1.0, 2.0)
-    traj = evolve(config, gibbs, t_end=50.0, dt=0.05, stop_tol=None)
+    traj = evolve(config, gibbs, t_end=50.0, dt=0.05)
     assert channel.trace_distances(traj.coords - channel.to_coords(gibbs)).max() < 1e-9
 
 
@@ -415,8 +352,8 @@ def test_evolve_rejects_unstable_step():
     config = make_config((1.0,), (0.01,))
     rho0 = [[0.5, 0.5], [0.5, 0.5]]
     with pytest.raises(GuardViolation, match="omega \\* dt = 3 exceeds 1.0; shrink dt below 1"):
-        evolve(config, rho0, t_end=500.0, dt=3.0, stop_tol=None)
-    traj = evolve(config, rho0, t_end=500.0, dt=np.nextafter(1.0, 0.0), stop_tol=None)
+        evolve(config, rho0, t_end=500.0, dt=3.0)
+    traj = evolve(config, rho0, t_end=500.0, dt=np.nextafter(1.0, 0.0))
     assert np.abs(traj.coords[:, 2:]).max() <= 0.5
     assert abs(traj.final_state[0, 1]) < 1e-3
     # 1 / expm1(omega / T) overflows at the float maximum; the guard names
@@ -429,7 +366,7 @@ def test_evolve_rejects_unstable_step():
 
 def test_evolve_trace_and_hermiticity_drift():
     config = make_config((3.0, 1.0), (0.1, 0.05))
-    traj = evolve(config, qmat.ground_state(), t_end=2000.0, dt=0.01, stop_tol=None)
+    traj = evolve(config, qmat.ground_state(), t_end=2000.0, dt=0.01)
     assert traj.max_trace_drift < 1e-8
     for y in traj.coords[:: len(traj.coords) // 20]:
         state = channel.from_coords(y)
@@ -451,7 +388,7 @@ def test_evolve_damps_coherences_at_half_population_rate():
     # |c(t)| = |c(0)| exp(-t * sum Gamma (2 nbar + 1) / 2)
     config = make_config((3.0, 1.0), (0.1, 0.05))
     rho0 = np.array([[0.5, 0.3 + 0.1j], [0.3 - 0.1j, 0.5]], dtype=complex)
-    traj = evolve(config, rho0, t_end=40.0, dt=0.02, stop_tol=None)
+    traj = evolve(config, rho0, t_end=40.0, dt=0.02)
     rate = sum(g * (2.0 * thermal_occupation(1.0, t) + 1.0) for t, g in zip(config.temperatures, config.rates)) / 2.0
     c0 = abs(rho0[0, 1])
     for t, y in zip(traj.times, traj.coords):
@@ -460,7 +397,7 @@ def test_evolve_damps_coherences_at_half_population_rate():
 
 def test_evolve_starts_cold_from_ground():
     config = make_config((3.0, 1.0), (0.1, 0.1))
-    traj = evolve(config, qmat.ground_state(), t_end=30.0, dt=0.05, stop_tol=None)
+    traj = evolve(config, qmat.ground_state(), t_end=30.0, dt=0.05)
     assert traj.temperatures[0] == 0.0
     assert traj.final_temperature > 1.0
 

@@ -125,4 +125,4 @@ def test_verify_csv_matches_its_reference_hash(tmp_path, capsys):
     assert cli.main(["verify", "--out", str(out)]) == 0
     # elapsed seconds masked as CI masks them
     masked = re.sub(rb"[0-9]+\.[0-9] s$", b"<elapsed> s", out.read_bytes(), flags=re.MULTILINE)
-    assert _sha256(masked) == "348df30c5d918f79f8cf1afae282b8b2a192142658c1185b0f2f8c3f4c620093"
+    assert _sha256(masked) == "ed8e184a3ee205c08c09e72a375eea327aebaa6f2d1a7bd57700ae1d42d399ee"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from thermoclass.transmon import (
@@ -81,3 +83,30 @@ def test_budget_validation():
         TimingBudget(5.0, 0.0, 0.0, 0, 20.0)
     with pytest.raises(ValueError):
         budget_report(TimingBudget(5.0, 0.0, 0.0, 2000, 20.0), classical_baseline_ms=0.0)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("tau_int_ns", "interaction time must be positive, got nan"),
+    ("tau_pr_ns", "preparation and reset times must be >= 0"),
+    ("tau_r_ns", "preparation and reset times must be >= 0"),
+    ("t1_relax_us", "relaxation time must be positive, got nan"),
+])
+def test_budget_rejects_nan_times(field, message):
+    times = {"tau_int_ns": 5.0, "tau_pr_ns": 0.0, "tau_r_ns": 0.0, "t1_relax_us": 20.0, field: math.nan}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimingBudget(n_collisions=2000, **times)
+
+
+@pytest.mark.parametrize("tau_int_ns, n, baseline_ms, message", [
+    # the total underflows to 0 us
+    (5e-324, 1, 1.0, "total run time 0 us is not a positive finite number"),
+    # the total is subnormal, and the speedup overflows
+    (1e-308, 1, 1.0, "speedup inf over the classical baseline is not a positive finite number"),
+    (1e308, 2000, 1.0, "total run time inf us is not a positive finite number"),
+    (math.inf, 1, 1.0, "total run time inf us is not a positive finite number"),
+    (5.0, 2000, math.inf, "speedup inf over the classical baseline is not a positive finite number"),
+    (5.0, 2000, math.nan, "classical baseline must be positive, got nan"),
+])
+def test_budget_report_rejects_a_non_finite_total_or_speedup(tau_int_ns, n, baseline_ms, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        budget_report(TimingBudget(tau_int_ns, 0.0, 0.0, n, 20.0), classical_baseline_ms=baseline_ms)
