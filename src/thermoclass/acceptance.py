@@ -34,11 +34,14 @@ class CriterionResult:
         return f"[{self.number}/8] {self.name}: {status} ({self.details})"
 
 
-def _random_config(rng: np.random.Generator) -> lindblad.SystemConfig:
-    n = int(rng.integers(1, 5))
-    temps = rng.uniform(0.5, 5.0, n)
-    rates = rng.uniform(0.01, 0.1, n)
-    return lindblad.make_config(temps, rates)
+def _random_baths(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random reservoir sets of 1 to 4 baths, as (n, 4) temperatures and
+    rates whose columns past each set's last bath are 0."""
+    counts = rng.integers(1, 5, n)
+    temps, rates = rng.uniform(0.5, 5.0, (n, 4)), rng.uniform(0.01, 0.1, (n, 4))
+    padding = np.arange(4) >= counts[:, None]
+    temps[padding] = rates[padding] = 0.0
+    return temps, rates
 
 
 def check_ode_matches_analytic(n_configs: int = 100, seed: int = 20240101) -> CriterionResult:
@@ -46,14 +49,10 @@ def check_ode_matches_analytic(n_configs: int = 100, seed: int = 20240101) -> Cr
     steady state for randomized reservoir configurations."""
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-    configs, rho0s = [], []
-    for _ in range(n_configs):
-        configs.append(_random_config(rng))
-        rho0s.append(qmat.random_density_matrix(rng))
-    trajs = lindblad.evolve_many(configs, rho0s, t_end=4000.0, dt=0.05, record_every=100.0)
-    # the closed-form steady states of all configurations from one call, the
-    # baths padded with rate 0, which adds exact zeros to every sum
-    _, temps, _, rates = lindblad._baths(configs)
+    temps, rates = _random_baths(rng, n_configs)
+    rho0s = qmat.random_density_matrix(rng, 2, (n_configs,))
+    trajs = lindblad.evolve_many(temps, rates, rho0s, t_end=4000.0, dt=0.05, record_every=100.0)
+    # the closed-form steady states from one call; rate-0 padding adds exact zeros
     p_e = 1.0 / (1.0 + lindblad.steady_population_ratios(temps, rates))
     steady = np.stack([p_e, 1.0 - p_e, np.zeros(n_configs), np.zeros(n_configs)], axis=1)
     worst = float(channel.trace_distances(np.array([traj.coords[-1] for traj in trajs]) - steady).max())
@@ -69,8 +68,7 @@ def check_relaxation_curves() -> CriterionResult:
     """Two-reservoir relaxation curves from the ground state reach the
     reference asymptotes; the equal-rate curve lands on the mean temperature."""
     rate_pairs = ((0.1, 0.1), (0.1, 0.05), (0.05, 0.1))
-    configs = [lindblad.make_config((3.0, 1.0), pair) for pair in rate_pairs]
-    table = classifier.thermalization_curves(configs, t_end=2000.0, dt=0.05)
+    table = classifier.thermalization_curves([(3.0, 1.0)] * len(rate_pairs), rate_pairs, t_end=2000.0, dt=0.05)
     finals = table.rows[-1].tolist()[1:]
     starts = table.rows[0].tolist()[1:]
     errs = [abs(f - ref) for f, ref in zip(finals, REFERENCE_ASYMPTOTES)]
@@ -252,27 +250,24 @@ def check_core_properties(seed: int = 7) -> CriterionResult:
     failures = []
 
     # 50 random configurations at once, their baths padded with rate 0
-    configs = [_random_config(rng) for _ in range(50)]
-    omegas, temps, occupations, rates = lindblad._baths(configs)
+    temps, rates = _random_baths(rng, 50)
     p_e = 1.0 / (1.0 + lindblad.steady_population_ratios(temps, rates))
-    rho_ss = np.zeros((len(configs), 2, 2), dtype=complex)
+    rho_ss = np.zeros((len(temps), 2, 2), dtype=complex)
     rho_ss[:, 0, 0], rho_ss[:, 1, 1] = p_e, 1.0 - p_e
     qmat.validate_density_matrix(rho_ss)
-    residual = lindblad._apply_generators(omegas, occupations, rates, rho_ss)
+    residual = lindblad._apply_generators(1.0, lindblad._occupations(temps, rates, 1.0), rates, rho_ss)
     residual_worst = float(np.abs(residual).max())
-    t_ss = lindblad.steady_temperatures(temps, rates).tolist()
-    bracket_ok = all(
-        min(config.temperatures) - 1e-12 <= t <= max(config.temperatures) + 1e-12 for config, t in zip(configs, t_ss)
-    )
+    t_ss = lindblad.steady_temperatures(temps, rates)
+    coldest = np.where(rates > 0, temps, math.inf).min(axis=1)
+    hottest = np.where(rates > 0, temps, -math.inf).max(axis=1)
+    bracket_ok = bool(((coldest - 1e-12 <= t_ss) & (t_ss <= hottest + 1e-12)).all())
     if residual_worst >= 1e-10:
         failures.append(f"steady-state residual {residual_worst:.2e}")
     if not bracket_ok:
         failures.append("bracketing violated")
 
     rule = classifier.DecisionRule.instance_mean()
-    pairs = [(rng.uniform(0.5, 5.0, 2), rng.uniform(0.01, 0.05, 2)) for _ in range(25)]
-    temps = np.array([t for t, _ in pairs])
-    rates = np.array([r for _, r in pairs])
+    temps, rates = rng.uniform(0.5, 5.0, (25, 2)), rng.uniform(0.01, 0.05, (25, 2))
     base_t, _, base_hot = classifier._label(temps, rates, rule, 1.0)
     scaled_t, _, scaled_hot = classifier._label(temps, 3.5 * rates, rule, 1.0)
     if not np.array_equal(base_hot, scaled_hot) or np.abs(base_t - scaled_t).max() > 1e-12:

@@ -88,13 +88,14 @@ def classify(config: lindblad.SystemConfig, rule: DecisionRule) -> Classificatio
 
 
 def thermalization_curves(
-    configs, t_end: float = 2000.0, dt: float = 0.05, sample_every: float = 1.0
+    temperatures, rates, t_end: float = 2000.0, dt: float = 0.05, sample_every: float = 1.0, omega: float = 1.0
 ) -> ResultTable:
-    """Integrate all configurations together from the ground state (zero
+    """Integrate n reservoir sets, the rows of (n, k) temperatures and rates
+    (see lindblad.evolve_many), together from the ground state (zero
     temperature) on a shared time grid and tabulate the effective
     temperature curves: a record table whose rows are a view of one
     (n_records, 1 + n_curves) float64 block, the time in its column 0."""
-    trajectories = lindblad.evolve_many(configs, qmat.ground_state(), t_end, dt, record_every=sample_every)
+    trajectories = lindblad.evolve_many(temperatures, rates, qmat.ground_state(), t_end, dt, sample_every, omega)
     columns = ["time"] + [f"T_S_curve{i + 1}" for i in range(len(trajectories))]
     block = np.column_stack([trajectories[0].times, *(traj.temperatures for traj in trajectories)])
     return ResultTable(columns=columns, rows=block.view([(name, np.float64) for name in columns])[:, 0])

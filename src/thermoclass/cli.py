@@ -214,7 +214,8 @@ def _cmd_thermalize(config: RunConfig, args) -> ResultTable:
         lindblad.make_config(s["temperatures"], rates, s["omega"]) for rates in s["rate_pairs"]
     ]
     return classifier.thermalization_curves(
-        systems, t_end=s["t_end"], dt=s["dt"], sample_every=s["sample_every"]
+        [system.temperatures for system in systems], [system.rates for system in systems],
+        t_end=s["t_end"], dt=s["dt"], sample_every=s["sample_every"], omega=s["omega"],
     )
 
 

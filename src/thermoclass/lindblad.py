@@ -55,10 +55,12 @@ class SystemConfig:
             raise ValueError(f"qubit frequency must be finite and positive, got {self.omega_s}")
         for i, rate in enumerate(rates):
             if rate / self.omega_s > WEAK_COUPLING_MAX:
-                raise GuardViolation(
-                    f"bath {i} rate {rate} exceeds the weak-coupling guard "
-                    f"{WEAK_COUPLING_MAX} * omega_s = {WEAK_COUPLING_MAX * self.omega_s}"
-                )
+                raise _weak_coupling_violation(i, rate, self.omega_s)
+
+
+def _weak_coupling_violation(i: int, rate: float, omega: float) -> GuardViolation:
+    return GuardViolation(f"bath {i} rate {rate} exceeds the weak-coupling guard "
+                          f"{WEAK_COUPLING_MAX} * omega_s = {WEAK_COUPLING_MAX * omega}")
 
 
 def make_config(temperatures, rates, omega: float = 1.0) -> SystemConfig:
@@ -92,42 +94,37 @@ def _dissipator(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ opd - 0.5 * (anti @ rho + rho @ anti)
 
 
-def _apply_generators(omegas, occupations, rates, rho: np.ndarray) -> np.ndarray:
+def _apply_generators(omega: float, occupations, rates, rho: np.ndarray) -> np.ndarray:
     """Linear action of b generators on arbitrary 2x2 matrices: rho is a
     (b, ..., 2, 2) stack, or broadcasts to one, whose j-th entry the j-th
-    generator acts on. omegas is (b,), occupations and rates are (b, k), one
-    column per bath; a bath of rate 0 is padding and adds nothing."""
+    generator acts on. omega is the qubit frequency of all b, occupations
+    and rates are (b, k), one column per bath; a bath of rate 0 is padding
+    and adds nothing."""
     lead = (slice(None),) + (None,) * (rho.ndim - 1)  # (b,) values against rho's axes
-    h = (0.5 * np.asarray(omegas))[lead] * qmat.pauli("z")
+    h = 0.5 * omega * qmat.pauli("z")
     out = -1j * (h @ rho - rho @ h)
     # D[sigma_-] rho and D[sigma_+] rho, which every bath scales by its own
     # emission and absorption rates
     down, up = _dissipator(qmat.pauli("minus"), rho), _dissipator(qmat.pauli("plus"), rho)
     for n, rate in zip(np.asarray(occupations).T, np.asarray(rates).T):
         n, active = n[lead], (rate > 0)[lead]
-        np.add(out, rate[lead] * ((n + 1.0) * down + n * up), out=out, where=active)
+        out = np.where(active, out + rate[lead] * ((n + 1.0) * down + n * up), out)
     return out
 
 
-def _baths(configs) -> tuple:
-    """The qubit frequencies (b,) of the configurations, and the
-    temperatures, thermal occupations and rates (b, k) of their baths,
-    padded with rate-0 baths at T = 0 to the widest configuration. Each
-    occupation is computed once, with thermal_occupation."""
-    temperatures, occupations, rates = np.zeros((3, len(configs), max(len(config.rates) for config in configs)))
-    for j, config in enumerate(configs):
-        k = len(config.rates)
-        temperatures[j, :k] = config.temperatures
-        occupations[j, :k] = [thermal_occupation(config.omega_s, t) for t in config.temperatures]
-        rates[j, :k] = config.rates
-    return np.array([config.omega_s for config in configs]), temperatures, occupations, rates
+def _occupations(temperatures: np.ndarray, rates: np.ndarray, omega: float) -> np.ndarray:
+    """The thermal occupations of (n, k) baths from thermal_occupation, 0
+    where the rate is."""
+    occupations, active = np.zeros(temperatures.shape), rates > 0
+    occupations[active] = [thermal_occupation(omega, t) for t in temperatures[active].tolist()]
+    return occupations
 
 
-def _real_generators(omegas, occupations, rates) -> np.ndarray:
-    """The (b, 4, 4) real generators of b configurations (see
+def _real_generators(omega: float, occupations, rates) -> np.ndarray:
+    """The (b, 4, 4) real generators of b reservoir sets (see
     _apply_generators for the arguments), all built in one pass over the
     coordinate basis."""
-    out = _apply_generators(omegas, occupations, rates, channel.BASIS[None])
+    out = _apply_generators(omega, occupations, rates, channel.BASIS[None])
     return channel.to_coords(out).swapaxes(1, 2).copy()
 
 
@@ -158,6 +155,24 @@ def _mean_energies(temperatures: np.ndarray, rates: np.ndarray, omega: float) ->
         return sum((rates / sum(rates.T)[:, None] * energy).T)
 
 
+def _checked_baths(temperatures, rates, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """temperatures and rates as (n, k) float arrays of one shape, entries
+    finite and >= 0, each row with a positive rate, and omega finite and
+    positive; any other input raises ValueError."""
+    temps = np.asarray(temperatures, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    if temps.ndim != 2 or temps.shape != rates.shape or 0 in temps.shape:
+        raise ValueError(f"need (n, k) temperatures and rates, n, k >= 1, got shapes {temps.shape}, {rates.shape}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"qubit frequency must be finite and positive, got {omega}")
+    for name, values in (("temperatures", temps), ("rates", rates)):
+        if not ((values >= 0) & (values < math.inf)).all():
+            raise ValueError(f"{name} must be finite and >= 0")
+    if not reduce(np.logical_or, (rates > 0).T).all():
+        raise ValueError("every reservoir set needs a positive rate")
+    return temps, rates
+
+
 def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     """Closed-form steady temperatures omega / ln(sum Gamma (nbar+1) / sum Gamma nbar)
     of n reservoir sets at once.
@@ -170,18 +185,8 @@ def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:
     Sums, minima and maxima over the baths fold the k columns: on 1e4 rows
     2 wide, numpy's row reductions cost 10 to 60 times more.
     """
-    temps = np.asarray(temperatures, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if temps.ndim != 2 or temps.shape != rates.shape or temps.shape[1] == 0:
-        raise ValueError(f"need (n, k) temperatures and rates, got shapes {temps.shape}, {rates.shape}")
-    if not 0 < omega < math.inf:
-        raise ValueError(f"qubit frequency must be finite and positive, got {omega}")
-    for name, values in (("temperatures", temps), ("rates", rates)):
-        if not ((values >= 0) & (values < math.inf)).all():
-            raise ValueError(f"{name} must be finite and >= 0")
+    temps, rates = _checked_baths(temperatures, rates, omega)
     active = rates > 0
-    if not reduce(np.logical_or, active.T).all():
-        raise ValueError("every reservoir set needs a positive rate")
     ratio = _rate_ratios(temps, rates, omega)
     with np.errstate(divide="ignore", over="ignore"):
         # the population ratio is 1 + total/up; log1p keeps baths so hot that
@@ -233,29 +238,25 @@ def mean_temperatures(temperatures) -> np.ndarray:
     return means
 
 
-def _rk4_guard(config: SystemConfig, occupations, dt: float) -> None:
-    """The RK4 guards, given the thermal occupations of the baths (entries
-    past the last bath are ignored): every occupation finite,
-    dt * Gamma * (nbar + 1) at most RK4_STABILITY_MAX for every bath, and
-    omega * dt at most RK4_ROTATION_MAX."""
-    fastest = 0.0
-    for i, (temperature, rate, n) in enumerate(zip(config.temperatures, config.rates, occupations)):
+def _rk4_guard(temperatures: np.ndarray, rates: np.ndarray, occupations: np.ndarray, omega: float, dt: float) -> None:
+    """The RK4 guards on all (n, k) baths at once: every occupation finite,
+    dt * Gamma * (nbar + 1) <= RK4_STABILITY_MAX and omega * dt <=
+    RK4_ROTATION_MAX. The first bad row raises for its first failed guard."""
+    fastest = reduce(np.maximum, (rates * (occupations + 1.0)).T)  # inf where an occupation is
+    unstable = dt * fastest > RK4_STABILITY_MAX
+    rotating = dt * omega > RK4_ROTATION_MAX  # then every row fails
+    if not (rotating or unstable.any()):
+        return
+    j = 0 if rotating else int(unstable.argmax())
+    for i, (temperature, n) in enumerate(zip(temperatures[j].tolist(), occupations[j].tolist())):
         if not math.isfinite(n):
-            raise GuardViolation(
-                f"bath {i} temperature {temperature} gives a non-finite thermal occupation "
-                f"at omega = {config.omega_s}; the master equation cannot be integrated"
-            )
-        fastest = max(fastest, rate * (n + 1.0))
-    if dt * fastest > RK4_STABILITY_MAX:
-        raise GuardViolation(
-            f"dt * max(Gamma*(nbar+1)) = {dt * fastest:.3g} exceeds "
-            f"{RK4_STABILITY_MAX}; shrink dt below {RK4_STABILITY_MAX / fastest:.3g}"
-        )
-    if dt * config.omega_s > RK4_ROTATION_MAX:
-        raise GuardViolation(
-            f"omega * dt = {dt * config.omega_s:.3g} exceeds {RK4_ROTATION_MAX}; "
-            f"shrink dt below {RK4_ROTATION_MAX / config.omega_s:.3g}"
-        )
+            raise GuardViolation(f"bath {i} temperature {temperature} gives a non-finite thermal occupation "
+                                 f"at omega = {omega}; the master equation cannot be integrated")
+    if unstable[j]:
+        raise GuardViolation(f"dt * max(Gamma*(nbar+1)) = {dt * fastest[j]:.3g} exceeds "
+                             f"{RK4_STABILITY_MAX}; shrink dt below {RK4_STABILITY_MAX / fastest[j]:.3g}")
+    raise GuardViolation(f"omega * dt = {dt * omega:.3g} exceeds {RK4_ROTATION_MAX}; "
+                         f"shrink dt below {RK4_ROTATION_MAX / omega:.3g}")
 
 
 def _rk4_step(generator: np.ndarray, dt: float) -> np.ndarray:
@@ -273,31 +274,32 @@ def _stride(interval: float, dt: float) -> int:
     return max(1, int(round(min(interval / dt, sys.float_info.max))))
 
 
-def evolve_many(configs, rho0: np.ndarray, t_end: float, dt: float, record_every: float = 1.0) -> list[Trajectory]:
-    """Integrate the master equation of several configurations at once with
-    fixed-step RK4 on one shared time grid from 0 to t_end, all from the
-    state rho0 or each from its own state of a (len(configs), 2, 2) stack
-    rho0.
+def evolve_many(temperatures, rates, rho0: np.ndarray, t_end: float, dt: float, record_every: float = 1.0,
+                omega: float = 1.0) -> list[Trajectory]:
+    """Integrate the master equation of n reservoir sets with fixed-step RK4
+    on one shared time grid from 0 to t_end, all from the state rho0 or each
+    from its own state of an (n, 2, 2) stack rho0. temperatures and rates
+    are (n, k) arrays, checked as in steady_temperatures (a rate of 0 leaves
+    that bath out, which pads narrower rows), and omega is every row's qubit
+    frequency. The first row that fails the weak-coupling or an RK4 guard
+    raises the GuardViolation that it raises alone.
 
-    The generator is linear and time independent, so the RK4 update is
-    applied as its exact one-step matrix (see _rk4_step), one per
-    configuration, stacked; the generators and step matrices of all
-    configurations are built in one batched pass. Nothing reads the states
-    between two records, so channel.propagate applies that matrix raised to
-    the record stride, one power per interval. States are recorded every
-    `record_every` time units plus the final state, each renormalized to
-    unit trace; max_trace_drift is the largest |trace - 1| of the raw
-    recorded states. All trajectories share one times array, and their
-    coordinates are columns of one record block, so each row is bitwise the
-    trajectory that evolve gives for its configuration and initial state
-    alone.
+    The RK4 steps of all rows are built in one batched pass (see _rk4_step)
+    and applied by channel.propagate, raised to the record stride. States
+    are recorded every `record_every` time units plus the final state, each
+    renormalized to unit trace; max_trace_drift is the largest |trace - 1|
+    of the raw records. The trajectories share one times array and are
+    columns of one record block, so row j is bitwise that row's trajectory
+    alone, whatever its padding.
 
     A NaN or non-positive dt or record_every, and a NaN t_end or one shorter
     than dt, raise ValueError.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("at least one configuration is required")
+    temps, rates = _checked_baths(temperatures, rates, omega)
+    strong = np.argwhere(rates / omega > WEAK_COUPLING_MAX)
+    if len(strong):
+        j, i = strong[0].tolist()
+        raise _weak_coupling_violation(i, rates[j, i].item(), omega)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if math.isnan(t_end):
@@ -306,20 +308,19 @@ def evolve_many(configs, rho0: np.ndarray, t_end: float, dt: float, record_every
         raise ValueError(f"t_end={t_end} shorter than one step dt={dt}")
     if not record_every > 0:
         raise ValueError(f"record interval must be positive, got {record_every}")
-    omegas, _, occupations, rates = _baths(configs)
-    for config, row in zip(configs, occupations.tolist()):
-        _rk4_guard(config, row, dt)
-    step = _rk4_step(_real_generators(omegas, occupations, rates), dt)
+    occupations = _occupations(temps, rates, omega)
+    _rk4_guard(temps, rates, occupations, omega, dt)
+    step = _rk4_step(_real_generators(omega, occupations, rates), dt)
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape not in ((2, 2), (len(configs), 2, 2)):
-        raise ValueError(f"need one 2x2 initial state or {len(configs)} of them, got shape {rho0.shape}")
+    if rho0.shape not in ((2, 2), (len(temps), 2, 2)):
+        raise ValueError(f"need one 2x2 initial state or {len(temps)} of them, got shape {rho0.shape}")
     qmat.validate_density_matrix(rho0, "initial state")
 
     if t_end / dt > sys.maxsize:
         raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceeds the largest step count {sys.maxsize}")
     n_steps = int(round(t_end / dt))
     stride = _stride(record_every, dt)
-    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
+    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(temps), 4, 1))
     marks, records = channel.propagate(y0, channel.repeated(step, n_steps, stride), n_steps, stride)
     records = records[..., 0]
     traces = records[..., 0] + records[..., 1]
@@ -327,11 +328,11 @@ def evolve_many(configs, rho0: np.ndarray, t_end: float, dt: float, record_every
     # trace: the curve CSVs are pinned to those bits
     normalized = records * (1.0 / traces)[..., None]
     times = marks * dt
-    return [Trajectory(times, normalized[:, j], config.omega_s, drift)
-            for j, (config, drift) in enumerate(zip(configs, np.abs(traces - 1.0).max(axis=0).tolist()))]
+    return [Trajectory(times, normalized[:, j], omega, drift)
+            for j, drift in enumerate(np.abs(traces - 1.0).max(axis=0).tolist())]
 
 
 def evolve(config: SystemConfig, rho0: np.ndarray, t_end: float, dt: float, record_every: float = 1.0) -> Trajectory:
     """Integrate the master equation of one configuration with fixed-step
     RK4 from 0 to t_end (see evolve_many)."""
-    return evolve_many([config], rho0, t_end, dt, record_every)[0]
+    return evolve_many([config.temperatures], [config.rates], rho0, t_end, dt, record_every, config.omega_s)[0]

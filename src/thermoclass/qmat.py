@@ -128,8 +128,10 @@ def ground_state() -> np.ndarray:
     return np.diag([0.0, 1.0]).astype(complex)
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Random full-rank state A A^dag / Tr(A A^dag) with Gaussian A."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+def random_density_matrix(rng: np.random.Generator, dim: int = 2, size: tuple = ()) -> np.ndarray:
+    """Random full-rank state A A^dag / Tr(A A^dag) with Gaussian A, or a
+    (*size, dim, dim) stack of them from two draws in all."""
+    shape = (*size, dim, dim)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]

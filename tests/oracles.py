@@ -7,19 +7,35 @@ import numpy as np
 from thermoclass import channel, collisions, lindblad, qmat
 
 
+def _generator_inputs(config) -> tuple:
+    """The occupations and rates of one configuration's baths, as the (1, k)
+    rows that the package's batched generator builds take."""
+    temps, rates = np.array([config.temperatures]), np.array([config.rates])
+    return lindblad._occupations(temps, rates, config.omega_s), rates
+
+
 def lindblad_rhs(config, rho: np.ndarray) -> np.ndarray:
     """d(rho)/dt of one configuration on one 2x2 matrix: coherent rotation
     plus one thermal dissipator pair per bath, through the package's batched
     generator action. Hermitian and traceless for Hermitian input."""
-    omegas, _, occupations, rates = lindblad._baths([config])
-    return lindblad._apply_generators(omegas, occupations, rates, np.asarray(rho, dtype=complex)[None])[0]
+    return lindblad._apply_generators(config.omega_s, *_generator_inputs(config), np.asarray(rho, dtype=complex)[None])[0]
 
 
 def real_generator(config) -> np.ndarray:
     """The 4x4 real generator K, dy/dt = K y on (p_e, p_g, Re c, Im c), that
     evolve_many builds for one configuration alone."""
-    omegas, _, occupations, rates = lindblad._baths([config])
-    return lindblad._real_generators(omegas, occupations, rates)[0]
+    return lindblad._real_generators(config.omega_s, *_generator_inputs(config))[0]
+
+
+def padded(configs) -> tuple:
+    """The (n, k) temperatures and rates of n configurations, one row each,
+    padded with rate-0 baths at T = 0 to the widest, as evolve_many takes
+    them."""
+    temps, rates = np.zeros((2, len(configs), max(len(config.rates) for config in configs)))
+    for j, config in enumerate(configs):
+        temps[j, : len(config.rates)] = config.temperatures
+        rates[j, : len(config.rates)] = config.rates
+    return temps, rates
 
 
 def steady_state(config) -> np.ndarray:

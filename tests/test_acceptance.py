@@ -23,21 +23,24 @@ def test_criterion_1_ode_matches_analytic_steady_state():
 
 
 def test_criterion_1_runs_every_trajectory_to_t_end(monkeypatch):
-    # the batch that criterion 1 integrates, caught on its way out
+    # the arrays that criterion 1 integrates, caught on their way in
     evolve_many, runs = lindblad.evolve_many, []
 
-    def recorded(configs, *args, **kwargs):
-        configs = list(configs)
-        runs.append((configs, evolve_many(configs, *args, **kwargs)))
-        return runs[-1][1]
+    def recorded(temperatures, rates, *args, **kwargs):
+        runs.append((temperatures.copy(), rates.copy(), evolve_many(temperatures, rates, *args, **kwargs)))
+        return runs[-1][2]
 
     monkeypatch.setattr(lindblad, "evolve_many", recorded)
     assert acceptance.check_ode_matches_analytic().passed
-    [(configs, trajs)] = runs
-    assert len(trajs) == 100
-    for config, traj in zip(configs, trajs):
+    [(temps, rates, trajs)] = runs
+    assert temps.shape == rates.shape == (100, 4) and len(trajs) == 100
+    counts = (rates > 0).sum(axis=1).tolist()
+    assert sorted(set(counts)) == [1, 2, 3, 4]
+    for t, g, k, traj in zip(temps.tolist(), rates.tolist(), counts, trajs):
+        # each set's baths fill its first k columns, and its padding is exactly 0
+        assert min(g[:k]) > 0 and t[k:] == g[k:] == [0.0] * (4 - k)
         assert traj.times[-1] == 4000.0
-        assert qmat.trace_distance(traj.final_state, steady_state(config)) < 1e-12
+        assert qmat.trace_distance(traj.final_state, steady_state(lindblad.make_config(t[:k], g[:k]))) < 1e-12
 
 
 def test_criterion_2_relaxation_curve_asymptotes():

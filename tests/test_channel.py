@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import collision_maps, real_generator
+from oracles import collision_maps, padded, real_generator
 from thermoclass import channel, collisions, lindblad, qmat
 
 
@@ -148,10 +148,10 @@ def test_runs_record_every_stride_and_the_last_step():
     # runs of one and of several rows
     config = collisions.CollisionConfig(1.0, 0.05, 1.0, ((3.0, 0.5), (1.0, 0.5)))
     assert len(collisions.run_collisions(qmat.ground_state(), config, 1000, 3).times) == 335
-    configs = [lindblad.make_config((3.0, 1.0), (0.1, 0.05))] * 2
-    trajs = lindblad.evolve_many(configs, qmat.ground_state(), 100.0, 0.05)
+    trajs = lindblad.evolve_many([(3.0, 1.0)] * 2, [(0.1, 0.05)] * 2, qmat.ground_state(), 100.0, 0.05)
     assert [len(traj.times) for traj in trajs] == [101, 101]
-    assert len(lindblad.evolve(configs[0], qmat.ground_state(), 100.0, 0.05).times) == 101
+    config = lindblad.make_config((3.0, 1.0), (0.1, 0.05))
+    assert len(lindblad.evolve(config, qmat.ground_state(), 100.0, 0.05).times) == 101
 
 
 _config = st.lists(st.tuples(st.floats(0.5, 5.0), st.floats(0.01, 0.1)), min_size=1, max_size=3)
@@ -167,7 +167,7 @@ def test_evolve_many_matches_step_by_step(seed, configs, shared, steps, record_s
     rho0s = [qmat.random_density_matrix(rng) for _ in configs]
     if shared:
         rho0s = [rho0s[0]] * len(configs)
-    trajs = lindblad.evolve_many(configs, rho0s[0] if shared else rho0s, steps * dt, dt, record_steps * dt)
+    trajs = lindblad.evolve_many(*padded(configs), rho0s[0] if shared else rho0s, steps * dt, dt, record_steps * dt)
     for config, rho0, traj in zip(configs, rho0s, trajs):
         # each configuration stepped alone, one RK4 matrix per step
         step = lindblad._rk4_step(real_generator(config), dt)

@@ -65,16 +65,16 @@ def test_classify_fixed_threshold_examples():
 
 
 def test_thermalization_curves_table():
-    configs = [
-        lindblad.make_config((3.0, 1.0), rates) for rates in ((0.1, 0.1), (0.1, 0.05), (0.05, 0.1))
-    ]
-    table = thermalization_curves(configs, t_end=300.0, dt=0.05)
+    table = thermalization_curves([(3.0, 1.0)] * 3, [(0.1, 0.1), (0.1, 0.05), (0.05, 0.1)], t_end=300.0, dt=0.05)
     assert table.columns == ["time", "T_S_curve1", "T_S_curve2", "T_S_curve3"]
     assert table.rows[0].tolist()[1:] == (0.0, 0.0, 0.0)
     finals = table.rows[-1].tolist()
     assert finals[1] == pytest.approx(2.0136362, abs=1e-3)
     assert finals[2] == pytest.approx(2.3436942, abs=1e-3)
     assert finals[3] == pytest.approx(1.6812845, abs=1e-3)
+    # no curves is a one-line error, not a table without a time column
+    with pytest.raises(ValueError, match=r"^need \(n, k\) temperatures and rates, n, k >= 1"):
+        thermalization_curves(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 def test_gamma_sweep_endpoints_and_monotonicity():

@@ -556,7 +556,7 @@ def test_verify_writes_parseable_results_csv(tmp_path, capsys):
 # `thermoclass verify` with elapsed seconds masked; criterion 1 runs every
 # configuration to its t_end
 VERIFY_LINES = """\
-[1/8] ode-vs-analytic steady state: PASS (100 configs, max trace distance 6.55e-15, <s> s)
+[1/8] ode-vs-analytic steady state: PASS (100 configs, max trace distance 9.44e-15, <s> s)
 [2/8] relaxation-curve asymptotes: PASS (finals 2.013636, 2.343694, 1.681284; max err 4.33e-10; equal-rate vs mean 0.68%)
 [3/8] rate-sweep endpoints/monotonicity/linearity: PASS (endpoint err 0.0e+00, monotone=True, chord deviation 0.01467 <= 0.0147)
 [4/8] collision homogenization: PASS (T=0.5: 1912 collisions, T=1.0: 2237 collisions, T=2.0: 2373 collisions, \
@@ -566,7 +566,7 @@ would deviate up to 43%))
 [6/8] linear separability of labeled instances: PASS (20 points (2 labels), zero training error: True; XOR refused: True)
 [7/8] hardware timing budget: PASS (total=10 us over 2000 collisions (5 ns each), feasible (T1=20 us); \
 100x faster than a 1 ms classical baseline)
-[8/8] structural property sweep: PASS (residual 1.2e-16, bracketing, rescaling, composition, determinism)
+[8/8] structural property sweep: PASS (residual 9.7e-17, bracketing, rescaling, composition, determinism)
 """
 
 

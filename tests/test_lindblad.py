@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lindblad_rhs, matrix_of, real_generator, steady_state
+from oracles import lindblad_rhs, matrix_of, padded, real_generator, steady_state
 from thermoclass import channel, qmat
 from thermoclass.channel import boltzmann_temperature
 from thermoclass.classifier import CLASS_HOT, DecisionRule, classify
@@ -170,21 +170,24 @@ _setup_config = st.tuples(
 @given(configs=st.lists(_setup_config, min_size=1, max_size=6), dt_share=st.floats(0.01, 1.0))
 def test_batched_setup_matches_each_configuration_alone(configs, dt_share):
     # configurations with 1-4 baths, T = 0 ones included, padded to the
-    # widest: the stacked generators and RK4 step matrices are bit for bit
-    # those each configuration gives alone
+    # widest within each qubit frequency: the stacked occupations,
+    # generators and RK4 step matrices are bit for bit those each
+    # configuration gives alone
     configs = [make_config([t for t, _ in baths], [g * omega for _, g in baths], omega) for baths, omega in configs]
     dt = dt_share * lindblad.RK4_ROTATION_MAX / max(config.omega_s for config in configs)
-    omegas, temps, occupations, rates = lindblad._baths(configs)
-    for j, config in enumerate(configs):
-        k = len(config.rates)
-        assert occupations[j, :k].tolist() == [thermal_occupation(config.omega_s, t) for t in config.temperatures]
-        assert temps[j, :k].tolist() == list(config.temperatures) and not temps[j, k:].any()
-        assert rates[j, :k].tolist() == list(config.rates) and not rates[j, k:].any()
-    generators = lindblad._real_generators(omegas, occupations, rates)
-    alone = [real_generator(config) for config in configs]
-    assert generators.tobytes() == np.stack(alone).tobytes()
-    steps = lindblad._rk4_step(generators, dt)
-    assert steps.tobytes() == np.stack([lindblad._rk4_step(k, dt) for k in alone]).tobytes()
+    for omega in {config.omega_s for config in configs}:
+        group = [config for config in configs if config.omega_s == omega]
+        temps, rates = padded(group)
+        occupations = lindblad._occupations(temps, rates, omega)
+        for j, config in enumerate(group):
+            k = len(config.rates)
+            assert occupations[j, :k].tolist() == [thermal_occupation(omega, t) for t in config.temperatures]
+            assert not occupations[j, k:].any()
+        generators = lindblad._real_generators(omega, occupations, rates)
+        alone = [real_generator(config) for config in group]
+        assert generators.tobytes() == np.stack(alone).tobytes()
+        steps = lindblad._rk4_step(generators, dt)
+        assert steps.tobytes() == np.stack([lindblad._rk4_step(k, dt) for k in alone]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,14 +216,23 @@ def test_evolve_reference_asymptotes():
 
 
 def test_evolve_many_matches_one_at_a_time():
-    configs = [make_config((3.0, 1.0), rates) for rates in ((0.1, 0.1), (0.1, 0.05), (0.02, 0.1))]
+    rate_pairs = ((0.1, 0.1), (0.1, 0.05), (0.02, 0.1))
     rho0 = qmat.random_density_matrix(np.random.default_rng(5))
-    together = evolve_many(configs, rho0, t_end=60.0, dt=0.05, record_every=2.5)
-    for config, traj in zip(configs, together):
-        alone = evolve(config, rho0, t_end=60.0, dt=0.05, record_every=2.5)
+    together = evolve_many([(3.0, 1.0)] * 3, rate_pairs, rho0, t_end=60.0, dt=0.05, record_every=2.5)
+    for rates, traj in zip(rate_pairs, together):
+        alone = evolve(make_config((3.0, 1.0), rates), rho0, t_end=60.0, dt=0.05, record_every=2.5)
         np.testing.assert_array_equal(traj.times, alone.times)
         np.testing.assert_array_equal(traj.coords, alone.coords)
         assert traj.max_trace_drift == alone.max_trace_drift
+
+
+def test_evolve_many_leaves_a_rate_0_bath_out_whatever_its_temperature():
+    # at the float maximum the bath's occupation would be infinite
+    rho0 = qmat.random_density_matrix(np.random.default_rng(3))
+    [padded_run] = evolve_many([(sys.float_info.max, 3.0)], [(0.0, 0.1)], rho0, 60.0, 0.05, 2.5)
+    alone = evolve(make_config((3.0,), (0.1,)), rho0, 60.0, 0.05, 2.5)
+    assert padded_run.coords.tobytes() == alone.coords.tobytes()
+    assert padded_run.max_trace_drift == alone.max_trace_drift
 
 
 _bath = st.tuples(st.one_of(st.just(0.0), st.floats(0.1, 5.0)), st.floats(0.01, 0.2))
@@ -243,7 +255,7 @@ def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps):
         scale = 1e-9 if kind == "slow" else 1.0
         configs.append(make_config([t for t, _ in baths], [g * scale for _, g in baths]))
         rho0s.append(steady_state(configs[-1]) if kind == "fixed point" else qmat.random_density_matrix(rng))
-    together = evolve_many(configs, np.array(rho0s), steps * dt, dt, record_steps * dt)
+    together = evolve_many(*padded(configs), np.array(rho0s), steps * dt, dt, record_steps * dt)
     for config, rho0, traj in zip(configs, rho0s, together):
         alone = evolve(config, rho0, steps * dt, dt, record_steps * dt)
         np.testing.assert_array_equal(traj.times, alone.times)
@@ -263,16 +275,70 @@ def test_evolve_many_rows_match_evolve_alone(seed, rows, steps, record_steps):
 ])
 def test_evolve_many_rejects_bad_grid(t_end, dt, record_every, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        evolve_many([make_config((3.0,), (0.1,))], qmat.ground_state(), t_end, dt, record_every)
+        evolve_many([(3.0,)], [(0.1,)], qmat.ground_state(), t_end, dt, record_every)
+
+
+@pytest.mark.parametrize("temperatures, rates, omega, message", [
+    ([(3.0, 1.0)], [(0.1,)], 1.0, "need (n, k) temperatures and rates, n, k >= 1, got shapes (1, 2), (1, 1)"),
+    ([3.0], [0.1], 1.0, "need (n, k) temperatures and rates, n, k >= 1, got shapes (1,), (1,)"),
+    (np.zeros((0, 2)), np.zeros((0, 2)), 1.0, "need (n, k) temperatures and rates, n, k >= 1, got shapes (0, 2), (0, 2)"),
+    ([(3.0, math.nan)], [(0.1, 0.1)], 1.0, "temperatures must be finite and >= 0"),
+    ([(3.0, -1.0)], [(0.1, 0.1)], 1.0, "temperatures must be finite and >= 0"),
+    ([(3.0, 1.0)], [(math.nan, 0.1)], 1.0, "rates must be finite and >= 0"),
+    ([(3.0, 1.0)], [(0.1, -0.1)], 1.0, "rates must be finite and >= 0"),
+    ([(3.0, 1.0), (2.0, 1.0)], [(0.1, 0.1), (0.0, 0.0)], 1.0, "every reservoir set needs a positive rate"),
+    ([(3.0,)], [(0.1,)], math.nan, "qubit frequency must be finite and positive, got nan"),
+])
+def test_evolve_many_rejects_bad_arrays(temperatures, rates, omega, message):
+    with pytest.raises(ValueError) as err:
+        evolve_many(temperatures, rates, qmat.ground_state(), 10.0, 0.05, omega=omega)
+    assert str(err.value) == message
+
+
+# a row that passes every guard at each case's omega and dt, padded to two
+# baths, and per guard a row that fails it alone: (row, omega, dt)
+_GOOD_ROW = ((2.0, 0.0), (0.05, 0.0))
+_BAD_ROWS = {
+    "non-finite occupation": (((1.0, sys.float_info.max), (0.1, 0.1)), 1.0, 0.05),
+    "stability": (((1.0, 5.0), (0.1, 0.2)), 1.0, 0.1),
+    "rotation": (((1.0, 3.0), (0.01, 0.01)), 2.0, 0.75),
+    "weak coupling": (((1.0, 3.0), (0.1, 0.25)), 1.0, 0.05),
+}
+
+
+@pytest.mark.parametrize("position", [0, 3])
+@pytest.mark.parametrize("guard", sorted(_BAD_ROWS))
+def test_evolve_many_raises_what_the_bad_row_raises_alone(guard, position):
+    (bad_temps, bad_rates), omega, dt = _BAD_ROWS[guard]
+    temps, rates = [list(row) for row in zip(*[_GOOD_ROW] * 4)]
+    temps[position], rates[position] = bad_temps, bad_rates
+    with pytest.raises(GuardViolation) as alone:
+        evolve(make_config(bad_temps, bad_rates, omega), qmat.ground_state(), 10.0, dt)
+    with pytest.raises(GuardViolation) as batch:
+        evolve_many(temps, rates, qmat.ground_state(), 10.0, dt, omega=omega)
+    assert str(batch.value) == str(alone.value)
+    if guard != "rotation":
+        # the good rows pass on their own
+        evolve_many([_GOOD_ROW[0]] * 3, [_GOOD_ROW[1]] * 3, qmat.ground_state(), 10.0, dt, omega=omega)
+
+
+def test_evolve_many_raises_for_the_first_bad_row():
+    # row 1 fails the stability guard and row 2 has a non-finite occupation,
+    # which a row alone is checked for first: row 1's failure is raised
+    temps = [(2.0, 0.0), (1.0, 5.0), (1.0, sys.float_info.max), (2.0, 0.0)]
+    rates = [(0.05, 0.0), (0.1, 0.2), (0.1, 0.1), (0.05, 0.0)]
+    with pytest.raises(GuardViolation) as err:
+        evolve_many(temps, rates, qmat.ground_state(), 10.0, 0.1)
+    assert str(err.value) == "dt * max(Gamma*(nbar+1)) = 0.11 exceeds 0.1; shrink dt below 0.0906"
 
 
 def test_evolve_many_rejects_mismatched_initial_states():
-    configs = [make_config((3.0,), (0.1,))] * 3
+    baths = ([(3.0,)] * 3, [(0.1,)] * 3)
     with pytest.raises(ValueError, match="initial state"):
-        evolve_many(configs, np.array([qmat.ground_state()] * 2), t_end=10.0, dt=0.05)
+        evolve_many(*baths, np.array([qmat.ground_state()] * 2), t_end=10.0, dt=0.05)
     bad = np.array([qmat.ground_state(), 2.0 * qmat.ground_state(), qmat.ground_state()])
     with pytest.raises(ValueError, match="trace"):
-        evolve_many(configs, bad, t_end=10.0, dt=0.05)
+        evolve_many(*baths, bad, t_end=10.0, dt=0.05)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,7 +361,7 @@ def test_evolve_many_follows_exact_relaxation(seed, baths, dt_share, steps, reco
         dt = math.nextafter(dt, 0.0)
     rng = np.random.default_rng(seed)
     rho0s = np.array([qmat.random_density_matrix(rng) for _ in configs])
-    trajs = evolve_many(configs, rho0s, steps * dt, dt, record_steps * dt)
+    trajs = evolve_many(*padded(configs), rho0s, steps * dt, dt, record_steps * dt)
     for config, rho0, traj in zip(configs, rho0s, trajs):
         nbar = np.array([thermal_occupation(1.0, t) for t in config.temperatures])
         total = float(np.sum(np.array(config.rates) * (2.0 * nbar + 1.0)))
@@ -358,9 +424,9 @@ def test_evolve_rejects_unstable_step():
     assert abs(traj.final_state[0, 1]) < 1e-3
     # 1 / expm1(omega / T) overflows at the float maximum; the guard names
     # the bath before any generator is built from it
-    configs = [make_config((3.0,), (0.1,)), make_config((sys.float_info.max, 1.0), (0.1, 0.1))]
     with pytest.raises(GuardViolation, match="bath 0 temperature 1.7976931348623157e\\+308 gives a non-finite") as err:
-        evolve_many(configs, qmat.ground_state(), t_end=10.0, dt=0.05)
+        evolve_many([(3.0, 0.0), (sys.float_info.max, 1.0)], [(0.1, 0.0), (0.1, 0.1)], qmat.ground_state(),
+                    t_end=10.0, dt=0.05)
     assert "shrink dt" not in str(err.value)
 
 
@@ -692,6 +758,7 @@ def test_steady_temperatures_rejects_bad_input():
         ([[1.0, 2.0], [1.0, 2.0]], [[0.1, 0.0], [0.0, 0.0]]),
         ([1.0, 2.0], [0.1, 0.1]),
         ([[1.0, 2.0]], [[0.1]]),
+        (np.zeros((0, 2)), np.zeros((0, 2))),
     ):
         with pytest.raises(ValueError):
             steady_temperatures(temps, rates)

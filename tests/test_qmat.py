@@ -129,6 +129,19 @@ def test_validate_accepts_random_states():
             qmat.validate_density_matrix(qmat.random_density_matrix(rng, dim))
 
 
+def test_random_density_matrices_drawn_as_a_stack_are_states():
+    rhos = qmat.random_density_matrix(np.random.default_rng(7), 2, size=(50,))
+    assert rhos.shape == (50, 2, 2)
+    qmat.validate_density_matrix(rhos)
+    assert len({rho.tobytes() for rho in rhos}) == 50
+    qmat.validate_density_matrix(qmat.random_density_matrix(np.random.default_rng(7), 4, size=(3, 5)))
+    # one state keeps the bits of A A^dag / Tr(A A^dag) from its two draws
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho = a @ a.conj().T
+    assert qmat.random_density_matrix(np.random.default_rng(7)).tobytes() == (rho / np.trace(rho).real).tobytes()
+
+
 def test_validate_rejects_bad_states():
     with pytest.raises(ValueError, match="Hermitian"):
         qmat.validate_density_matrix(np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex))

@@ -125,4 +125,4 @@ def test_verify_csv_matches_its_reference_hash(tmp_path, capsys):
     assert cli.main(["verify", "--out", str(out)]) == 0
     # elapsed seconds masked as CI masks them
     masked = re.sub(rb"[0-9]+\.[0-9] s$", b"<elapsed> s", out.read_bytes(), flags=re.MULTILINE)
-    assert _sha256(masked) == "ed8e184a3ee205c08c09e72a375eea327aebaa6f2d1a7bd57700ae1d42d399ee"
+    assert _sha256(masked) == "479d6c23572ffec27cfb56b4e049b843a0411087cf960dcabdeb8cd3604dcf9f"
