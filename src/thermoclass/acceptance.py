@@ -66,9 +66,12 @@ def check_ode_matches_analytic(n_configs: int = 100, seed: int = 20240101) -> Cr
 
 def check_relaxation_curves() -> CriterionResult:
     """Two-reservoir relaxation curves from the ground state reach the
-    reference asymptotes; the equal-rate curve lands on the mean temperature."""
+    reference asymptotes; the equal-rate curve lands on the mean temperature.
+    Only the first and last records are read, so the curves are recorded every
+    100 time units: each is within 1e-12 of its final value by t = 60."""
     rate_pairs = ((0.1, 0.1), (0.1, 0.05), (0.05, 0.1))
-    table = classifier.thermalization_curves([(3.0, 1.0)] * len(rate_pairs), rate_pairs, t_end=2000.0, dt=0.05)
+    baths = [(3.0, 1.0)] * len(rate_pairs)
+    table = classifier.thermalization_curves(baths, rate_pairs, t_end=2000.0, dt=0.05, sample_every=100.0)
     finals = table.rows[-1].tolist()[1:]
     starts = table.rows[0].tolist()[1:]
     errs = [abs(f - ref) for f, ref in zip(finals, REFERENCE_ASYMPTOTES)]
@@ -152,8 +155,8 @@ def check_homogenization() -> CriterionResult:
     states = _every_collision(configs, n, math.isqrt(n - 1) + 1)
     counts = {}
     ok = True
-    for temp, config, coords in zip(temps, configs, states.swapaxes(0, 1)):
-        target = channel.to_coords(qmat.qubit_thermal_state(1.0, temp))
+    targets = channel.to_coords(qmat.qubit_thermal_state(1.0, temps))
+    for temp, config, coords, target in zip(temps, configs, states.swapaxes(0, 1), targets):
         below = channel.trace_distances(coords - target) < 1e-3
         if not below[-1]:
             ok = False
@@ -184,7 +187,7 @@ def check_collision_crosscheck() -> CriterionResult:
     worst = max(abs(traj.final_temperature - t) / t for traj, t in zip(trajs, analytic.tolist()))
     # the uncalibrated weighting p ~ Gamma lands on the probability-weighted
     # mean of the ancilla excitations instead; quantify it for the record
-    plain = 0.5 * (qmat.qubit_thermal_state(1.0, 1.0) + qmat.qubit_thermal_state(1.0, 5.0))
+    plain = 0.5 * qmat.qubit_thermal_state(1.0, (1.0, 5.0)).sum(axis=0)
     t_plain = float(channel.boltzmann_temperature(plain[1, 1].real, plain[0, 0].real, 1.0))
     t_ref = lindblad.steady_temperature(lindblad.make_config((1.0, 5.0), (0.1, 0.1)))
     plain_dev = abs(t_plain - t_ref) / t_ref

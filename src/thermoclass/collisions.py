@@ -82,16 +82,16 @@ def flip_flop_hamiltonian(h: float, coupling: float) -> np.ndarray:
     J (sigma_+^a sigma_-^s + h.c.) on system (x) ancilla.
 
     Conserves the total excitation number, so only |eg> and |ge> mix.
-    coupling=0 is allowed as the free (non-interacting) limit.
+    coupling=0 is allowed as the free (non-interacting) limit. Filled in
+    directly, h/2 times (2, 0, 0, -2) on the diagonal and J linking |eg> and
+    |ge>, bitwise the sum of Kronecker products (+ 0.0, the exchange's zero
+    on the diagonal, makes an h/2 that rounds to 0 give +0.0, not -0.0).
     """
     if h <= 0 or coupling < 0:
         raise ValueError(f"need h > 0 and coupling >= 0, got ({h}, {coupling})")
-    sz = qmat.pauli("z")
-    eye = np.eye(2, dtype=complex)
-    free = 0.5 * h * (np.kron(sz, eye) + np.kron(eye, sz))
-    # sigma_+ on the ancilla, sigma_- on the system (second/first factor)
-    exchange = np.kron(qmat.pauli("minus"), qmat.pauli("plus"))
-    return free + coupling * (exchange + exchange.conj().T)
+    hamiltonian = np.diag(0.5 * h * np.array([2.0, 0.0, 0.0, -2.0]) + 0.0).astype(complex)
+    hamiltonian[1, 2] = hamiltonian[2, 1] = coupling
+    return hamiltonian
 
 
 def run_collisions(
@@ -166,30 +166,25 @@ def _collision_maps(configs) -> list:
     A collision with an ancilla prepared thermal at T is the joint unitary
     for time tau, after which the ancilla is traced out and discarded, so
     the map is completely positive and trace preserving by construction.
-    The unitary is computed once per distinct (frequency, coupling, tau);
+    The unitary is computed once per distinct (frequency, coupling, tau).
+    The ancillas of every reservoir come from one qubit_thermal_state pass
+    over the arrays of frequencies and temperatures, validated as one stack;
     the tensor products, the unitary conjugations and the partial traces of
     every reservoir's four coordinate basis matrices run as one stacked pass.
     """
-    unitaries, ancillas = {}, {}
-    us, rhos = [], []
-    for config in configs:
-        key = (config.frequency, config.coupling, config.tau)
-        if key not in unitaries:
-            hamiltonian = flip_flop_hamiltonian(config.frequency, config.coupling)
-            unitaries[key] = qmat.unitary_propagator(hamiltonian, config.tau)
-        for t in config.temperatures:
-            if (config.frequency, t) not in ancillas:
-                ancillas[config.frequency, t] = qmat.qubit_thermal_state(config.frequency, t)
-            us.append(unitaries[key])
-            rhos.append(ancillas[config.frequency, t])
-    u = np.stack(us)[:, None]
+    keys = [(config.frequency, config.coupling, config.tau) for config in configs]
+    unitaries = {(h, j, tau): qmat.unitary_propagator(flip_flop_hamiltonian(h, j), tau) for h, j, tau in set(keys)}
+    counts = [len(config.reservoirs) for config in configs]
+    u = np.repeat(np.stack([unitaries[key] for key in keys]), counts, axis=0)[:, None]
+    temperatures = [t for config in configs for t in config.temperatures]
+    ancillas = qmat.qubit_thermal_state(np.repeat([key[0] for key in keys], counts), temperatures)
     # kron(basis, ancilla) for every reservoir and basis matrix: (m, 4, 4, 4)
-    joint = channel.BASIS[None, :, :, None, :, None] * np.stack(rhos)[:, None, None, :, None, :]
+    joint = channel.BASIS[None, :, :, None, :, None] * ancillas[:, None, None, :, None, :]
     joint = joint.reshape(-1, 4, 4, 4)
     evolved = u @ joint @ u.conj().swapaxes(-1, -2)
     # C order, as numpy's matrix products of other layouts may round differently
     maps = channel.to_coords(qmat.partial_trace(evolved)).swapaxes(1, 2).copy()
-    return np.split(maps, np.cumsum([len(config.reservoirs) for config in configs])[:-1])
+    return np.split(maps, np.cumsum(counts)[:-1])
 
 
 # record intervals whose sampled-schedule products are formed in one batch

@@ -8,8 +8,6 @@ literally |e><e| - |g><g|.  Two-qubit states are ordered system (x) ancilla:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Density-matrix validity tolerances. The eigenvalue floor is negative on
@@ -31,30 +29,31 @@ def pauli(which: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli operator {which!r}; expected 'z', 'plus' or 'minus'")
 
 
-def qubit_thermal_state(omega: float, temperature: float) -> np.ndarray:
+def qubit_thermal_state(omega, temperature) -> np.ndarray:
     """Gibbs state diag(p_e, p_g) of a qubit with level splitting omega
-    (energies +-omega/2), p proportional to exp(-E / T).
+    (energies +-omega/2), p proportional to exp(-E / T); for arrays, the
+    (..., 2, 2) stack over their broadcast shape, validated as one stack.
 
     T = 0, and a T so small that 1/T overflows, put all weight on the
     ground level (split evenly where omega/2 rounds to 0). Negative
     temperatures are out of scope and rejected.
     """
-    if omega <= 0:
-        raise ValueError(f"qubit frequency must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"negative temperature {temperature} not supported")
-    beta = math.inf if temperature == 0 else 1.0 / temperature
-    energies = np.array([omega / 2.0, -omega / 2.0])
-    if math.isinf(beta):
-        weights = (energies == energies.min()).astype(float)
-    else:
-        # shift by the minimum before exponentiating to avoid overflow; a
-        # beta * E beyond the float range is -inf, and its weight 0
-        with np.errstate(over="ignore"):
-            weights = np.exp(-beta * (energies - energies.min()))
-    rho = np.diag(weights / weights.sum()).astype(complex)
-    validate_density_matrix(rho, "thermal state")
-    return rho
+    omega, temperature = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(temperature, dtype=float))
+    if (omega <= 0).any():
+        raise ValueError(f"qubit frequency must be positive, got {omega[omega <= 0].flat[0]}")
+    if (temperature < 0).any():
+        raise ValueError(f"negative temperature {temperature[temperature < 0].flat[0]} not supported")
+    energies = np.stack([omega / 2.0, -omega / 2.0], axis=-1)
+    gaps = energies - energies.min(axis=-1, keepdims=True)
+    # shift by the minimum before exponentiating to avoid overflow; a
+    # beta * E beyond the float range is -inf, and its weight 0. An infinite
+    # beta weighs the lowest levels alone; the where drops the NaN of inf * 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        beta = 1.0 / temperature[..., None]
+        weights = np.where(np.isinf(beta), gaps == 0.0, np.exp(-beta * gaps))
+    rho = np.zeros((*temperature.shape, 2, 2), dtype=complex)
+    rho[..., [0, 1], [0, 1]] = weights / weights.sum(axis=-1, keepdims=True)
+    return validate_density_matrix(rho, "thermal state")
 
 
 def partial_trace(rho: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 batches, which the tests compare against, and the package's batched builds
 applied to one configuration alone."""
 
+import math
+
 import numpy as np
 
-from thermoclass import channel, collisions, lindblad, qmat
+from thermoclass import channel, lindblad, qmat
 
 
 def _generator_inputs(config) -> tuple:
@@ -62,12 +64,34 @@ def partial_trace_system(joint: np.ndarray) -> np.ndarray:
     return np.array([[joint[2 * i, 2 * k] + joint[2 * i + 1, 2 * k + 1] for k in range(2)] for i in range(2)])
 
 
+def thermal_state(omega: float, temperature: float) -> np.ndarray:
+    """Gibbs state diag(p_e, p_g) of one qubit with level splitting omega at
+    one temperature, from its two energies +-omega/2 alone; T = 0 and a 1/T
+    that overflows weigh the lowest levels alone."""
+    beta = math.inf if temperature == 0 else 1.0 / temperature
+    energies = np.array([omega / 2.0, -omega / 2.0])
+    if math.isinf(beta):
+        weights = (energies == energies.min()).astype(float)
+    else:
+        with np.errstate(over="ignore"):
+            weights = np.exp(-beta * (energies - energies.min()))
+    return np.diag(weights / weights.sum()).astype(complex)
+
+
+def kron_flip_flop_hamiltonian(h: float, coupling: float) -> np.ndarray:
+    """(h/2)(sigma_z (x) 1 + 1 (x) sigma_z) + J (sigma_- (x) sigma_+ + h.c.),
+    as the sum of its Kronecker products."""
+    sz, eye = qmat.pauli("z"), np.eye(2, dtype=complex)
+    exchange = np.kron(qmat.pauli("minus"), qmat.pauli("plus"))
+    return 0.5 * h * (np.kron(sz, eye) + np.kron(eye, sz)) + coupling * (exchange + exchange.conj().T)
+
+
 def single_collision(rho_s: np.ndarray, temperature: float, config) -> np.ndarray:
     """One collision with a fresh ancilla prepared thermal at `temperature`:
     the joint unitary for time tau on kron(rho_s, ancilla), then the ancilla
     traced out."""
-    u = qmat.unitary_propagator(collisions.flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
-    joint = np.kron(rho_s, qmat.qubit_thermal_state(config.frequency, temperature))
+    u = qmat.unitary_propagator(kron_flip_flop_hamiltonian(config.frequency, config.coupling), config.tau)
+    joint = np.kron(rho_s, thermal_state(config.frequency, temperature))
     return partial_trace_system(u @ joint @ u.conj().T)
 
 

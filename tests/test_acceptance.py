@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import steady_state
-from thermoclass import acceptance, channel, collisions, lindblad, qmat
+from thermoclass import acceptance, channel, classifier, collisions, lindblad, qmat
 
 
 def _check(result):
@@ -45,6 +45,25 @@ def test_criterion_1_runs_every_trajectory_to_t_end(monkeypatch):
 
 def test_criterion_2_relaxation_curve_asymptotes():
     _check(acceptance.check_relaxation_curves())
+
+
+def test_criterion_2_records_every_100_time_units_and_ends_on_the_dense_run(monkeypatch):
+    # the curves that criterion 2 reads, caught with their arguments
+    thermalization_curves, runs = classifier.thermalization_curves, []
+
+    def recorded(*args, **kwargs):
+        runs.append((args, kwargs, thermalization_curves(*args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(classifier, "thermalization_curves", recorded)
+    assert acceptance.check_relaxation_curves().passed
+    [(args, kwargs, sparse)] = runs
+    assert kwargs["sample_every"] == 100.0 and len(sparse.rows) == 21
+    dense = thermalization_curves(*args, **{**kwargs, "sample_every": 1.0})
+    assert len(dense.rows) == 2001 and sparse.rows[-1]["time"] == dense.rows[-1]["time"] == 2000.0
+    finals = np.array(sparse.rows[-1].tolist()[1:])
+    assert np.abs(finals - dense.rows[-1].tolist()[1:]).max() <= 1e-14
+    assert sparse.rows[0].tolist()[1:] == (0.0, 0.0, 0.0)
 
 
 def test_criterion_3_rate_sweep_shape():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import collision_maps, lindblad_rhs, single_collision
+from oracles import collision_maps, kron_flip_flop_hamiltonian, lindblad_rhs, single_collision
 from thermoclass import channel, collisions, lindblad, qmat
 from thermoclass.collisions import (
     SCHEDULES,
@@ -45,6 +45,12 @@ def test_flip_flop_conserves_total_excitation():
     sz = qmat.pauli("z")
     total = np.kron(sz, np.eye(2)) + np.kron(np.eye(2), sz)
     assert np.abs(h @ total - total @ h).max() < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(5e-324, 1e300), coupling=st.floats(0.0, 1e300))
+def test_flip_flop_hamiltonian_is_bitwise_the_kronecker_form(h, coupling):
+    assert flip_flop_hamiltonian(h, coupling).tobytes() == kron_flip_flop_hamiltonian(h, coupling).tobytes()
 
 
 def test_flip_flop_swap_at_half_period():

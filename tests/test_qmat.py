@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import thermal_state
 from thermoclass import qmat
 
 
@@ -35,6 +36,29 @@ def test_thermal_state_below_the_smallest_inverse_is_ground():
 
 def test_thermal_state_infinite_temperature_is_maximally_mixed():
     np.testing.assert_allclose(qmat.qubit_thermal_state(1.0, math.inf), np.diag([0.5, 0.5]), atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_thermal_state_stack_is_bitwise_the_one_state_formula():
+    # T = 0, subnormal T whose 1/T overflows, and beta * omega past the float
+    # range or omega / 2 rounding to 0, beside random values, in one stacked call
+    rng = np.random.default_rng(11)
+    temps = [0.0, 5e-324, 1e-320, 1e-3, 1e300, math.inf, *rng.uniform(0.0, 10.0, 20), *10.0 ** rng.uniform(-320, 300, 20)]
+    omegas = [5e-324, 1e-3, 0.5, 1.0, 3.7, 1e300]
+    stack = qmat.qubit_thermal_state(np.array(omegas)[:, None], temps)
+    assert stack.shape == (len(omegas), len(temps), 2, 2)
+    for omega, states in zip(omegas, stack):
+        for temp, rho in zip(temps, states):
+            assert rho.tobytes() == qmat.qubit_thermal_state(omega, temp).tobytes() == thermal_state(omega, temp).tobytes()
+
+
+def test_thermal_state_stack_rejects_its_first_bad_entry():
+    with pytest.raises(ValueError, match="negative temperature -2.0"):
+        qmat.qubit_thermal_state(1.0, [1.0, -2.0, -3.0])
+    with pytest.raises(ValueError, match="qubit frequency must be positive, got 0.0"):
+        qmat.qubit_thermal_state([1.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="thermal state 1: entry"):
+        qmat.qubit_thermal_state(1.0, [1.0, math.nan])
 
 
 def test_thermal_state_unit_temperature_population():
