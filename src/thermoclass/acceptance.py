@@ -104,27 +104,26 @@ def check_rate_sweep() -> CriterionResult:
     )
 
 
-def _every_collision(configs, n: int, stride: int) -> np.ndarray:
-    """The coordinates of the qubit after 0, 1, ..., n collisions with the
-    one reservoir of each configuration, from the ground state, as an
-    (n + 1, len(configs), 4) array.
+def _every_collision(maps: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """The coordinates of the qubit after 0, 1, ..., n collisions through each
+    of the (c, 4, 4) collision maps, from the ground state, as an
+    (n + 1, c, 4) array.
 
     The collision map is linear and the same at every step, so a coarse pass
     that records every stride-th state and a fine pass through stride
     single collisions from each coarse record but the last give every
-    state. The coarse pass steps all configurations at once; the fine pass
-    takes one configuration at a time, its coarse records as the columns
-    of one 4-row matrix, so its record buffer holds the states of one
-    configuration, not of all. Each map is bitwise run_collisions's step,
-    but the products are associated differently, so a state may differ
-    from run_collisions's in its last bits."""
-    maps = np.concatenate(collisions._collision_maps(configs))
-    y0 = np.broadcast_to(channel.to_coords(qmat.ground_state())[:, None], (len(configs), 4, 1))
+    state. The coarse pass steps all maps at once; the fine pass takes one
+    map at a time, its coarse records as the columns of one 4-row matrix,
+    so its record buffer holds the states of one map, not of all. Each map
+    of collisions._collision_maps is bitwise run_collisions's step, but the
+    products are associated differently, so a state may differ from
+    run_collisions's in its last bits."""
+    y0 = np.broadcast_to(channel.to_coords(qmat.ground_state())[:, None], (len(maps), 4, 1))
     _, coarse = channel.propagate(y0, channel.repeated(maps, n, stride), n, stride)
     windows, width = len(coarse) - 1, min(stride, n)
-    states = np.empty((windows * width + 1, len(configs), 4))
+    states = np.empty((windows * width + 1, len(maps), 4))
     # grid[w, j] is the state after w * stride + j collisions
-    grid = states[:-1].reshape(windows, width, len(configs), 4)
+    grid = states[:-1].reshape(windows, width, len(maps), 4)
     for c, step in enumerate(maps):
         _, fine = channel.propagate(coarse[:-1, c, :, 0].T, channel.repeated(step, width, 1), width, 1)
         grid[:, :, c] = fine[:width].transpose(2, 0, 1)
@@ -147,25 +146,22 @@ def check_homogenization() -> CriterionResult:
     products per reservoir, in place of 6000 one-collision steps."""
     t0 = time.perf_counter()
     temps = (0.5, 1.0, 2.0, 5.0)
-    n = 6000
-    configs = [
-        collisions.CollisionConfig(frequency=1.0, coupling=0.05, tau=1.0, reservoirs=((temp, 1.0),))
-        for temp in temps
-    ]
-    states = _every_collision(configs, n, math.isqrt(n - 1) + 1)
+    h, coupling, tau, n = 1.0, 0.05, 1.0, 6000
+    maps = collisions._collision_maps(h, coupling, tau, np.array(temps)[:, None])[:, 0]
+    states = _every_collision(maps, n, math.isqrt(n - 1) + 1)
     counts = {}
     ok = True
-    targets = channel.to_coords(qmat.qubit_thermal_state(1.0, temps))
-    for temp, config, coords, target in zip(temps, configs, states.swapaxes(0, 1), targets):
+    targets = channel.to_coords(qmat.qubit_thermal_state(h, temps))
+    for temp, coords, target in zip(temps, states.swapaxes(0, 1), targets):
         below = channel.trace_distances(coords - target) < 1e-3
         if not below[-1]:
             ok = False
             counts[temp] = None
         else:
             counts[temp] = int(below.argmax())
-            nbar = lindblad.thermal_occupation(config.frequency, temp)
+            nbar = lindblad.thermal_occupation(h, temp)
             p_a = nbar / (2.0 * nbar + 1.0)
-            predicted = math.ceil(math.log(1e-3 / p_a) / math.log(math.cos(config.coupling * config.tau) ** 2))
+            predicted = math.ceil(math.log(1e-3 / p_a) / math.log(math.cos(coupling * tau) ** 2))
             ok = ok and counts[temp] <= 10**5 and counts[temp] == predicted
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
@@ -181,9 +177,10 @@ def check_collision_crosscheck() -> CriterionResult:
     rate-calibrated reservoir probabilities."""
     grid = [((t1, t2), (0.1 * ratio, 0.1))
             for t1, t2 in ((1.0, 5.0), (3.0, 1.0), (5.0, 4.0)) for ratio in (1.0, 2.0, 0.5)]
-    configs = [collisions.mixture_config(rates, temps) for temps, rates in grid]
-    trajs = collisions.run_collisions_many(qmat.ground_state(), configs, n=8000, record_every=1000)
-    analytic = lindblad.steady_temperatures([temps for temps, _ in grid], [rates for _, rates in grid])
+    temps, rates = np.array(grid).transpose(1, 0, 2)
+    probs = [collisions.reservoir_probabilities(r, t) for t, r in zip(temps, rates)]
+    trajs = collisions.run_collisions_many(temps, probs, qmat.ground_state(), n=8000, record_every=1000)
+    analytic = lindblad.steady_temperatures(temps, rates)
     worst = max(abs(traj.final_temperature - t) / t for traj, t in zip(trajs, analytic.tolist()))
     # the uncalibrated weighting p ~ Gamma lands on the probability-weighted
     # mean of the ancilla excitations instead; quantify it for the record

@@ -17,7 +17,7 @@ import numpy as np
 from . import channel, qmat
 from .channel import Trajectory
 from .errors import GuardViolation
-from .lindblad import thermal_occupation
+from .lindblad import _checked_baths, thermal_occupation
 
 # Weak-coupling guard on the collision coupling relative to the qubit frequency.
 COUPLING_RATIO_MAX = 0.1
@@ -43,15 +43,7 @@ class CollisionConfig:
     def __post_init__(self):
         if not 0 < self.frequency < math.inf:
             raise ValueError(f"frequency must be finite and positive, got {self.frequency}")
-        if not 0 < self.coupling < math.inf:
-            raise ValueError(f"coupling must be finite and positive, got {self.coupling}")
-        if not 0 <= self.tau < math.inf:
-            raise ValueError(f"collision time must be finite and >= 0, got {self.tau}")
-        if self.coupling / self.frequency > COUPLING_RATIO_MAX:
-            raise GuardViolation(
-                f"coupling/frequency = {self.coupling / self.frequency:.3g} exceeds "
-                f"the weak-coupling guard {COUPLING_RATIO_MAX}"
-            )
+        _check_coupling(self.frequency, self.coupling, self.tau)
         object.__setattr__(self, "reservoirs", tuple((float(t), float(p)) for t, p in self.reservoirs))
         if not self.reservoirs:
             raise ValueError("at least one reservoir is required")
@@ -60,9 +52,7 @@ class CollisionConfig:
                 raise ValueError(f"reservoir temperature must be finite and >= 0, got {t}")
             if not 0 < p < math.inf:
                 raise ValueError(f"reservoir probability must be finite and positive, got {p}")
-        total = sum(p for _, p in self.reservoirs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"reservoir probabilities sum to {total}, expected 1")
+        _check_sums(np.array([sum(self.probabilities)]))
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.schedule == "sampled" and self.seed is None:
@@ -75,6 +65,29 @@ class CollisionConfig:
     @property
     def probabilities(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.reservoirs)
+
+
+def _check_coupling(frequency: float, coupling: float, tau: float) -> None:
+    """CollisionConfig's checks on J and tau and its weak-coupling guard on
+    J / h (a GuardViolation), for a frequency already checked finite and
+    positive; run_collisions_many makes the same."""
+    if not 0 < coupling < math.inf:
+        raise ValueError(f"coupling must be finite and positive, got {coupling}")
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"collision time must be finite and >= 0, got {tau}")
+    if coupling / frequency > COUPLING_RATIO_MAX:
+        raise GuardViolation(
+            f"coupling/frequency = {coupling / frequency:.3g} exceeds "
+            f"the weak-coupling guard {COUPLING_RATIO_MAX}"
+        )
+
+
+def _check_sums(totals: np.ndarray) -> None:
+    """Each reservoir set's probabilities, summed to one of totals, add up
+    to 1 within 1e-12; CollisionConfig and run_collisions_many share it."""
+    off = np.abs(totals - 1.0) > 1e-12
+    if off.any():
+        raise ValueError(f"reservoir probabilities sum to {totals[off.argmax()].item()}, expected 1")
 
 
 def flip_flop_hamiltonian(h: float, coupling: float) -> np.ndarray:
@@ -101,30 +114,40 @@ def run_collisions(
     state (collision 0 and n always included); the trajectory's times are
     collision counts. This is run_collisions_many for one configuration.
     """
-    return run_collisions_many(rho0, [config], n, record_every)[0]
+    seeds = None if config.schedule == "mixture" else [config.seed]
+    return run_collisions_many([config.temperatures], [config.probabilities], rho0, n, record_every,
+                               config.frequency, config.coupling, config.tau, seeds)[0]
 
 
-def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1) -> list[Trajectory]:
-    """run_collisions for several configurations of one schedule at once, all
-    from the state rho0 or each from its own state of a (len(configs), 2, 2)
-    stack rho0; each trajectory is bitwise the one run_collisions gives for
-    its configuration and initial state alone.
+def run_collisions_many(temperatures, probabilities, rho0: np.ndarray, n: int, record_every: int = 1,
+                        frequency: float = 1.0, coupling: float = 0.05, tau: float = 1.0,
+                        seeds=None) -> list[Trajectory]:
+    """n collisions of each of several reservoir sets at once, all from the
+    state rho0 or each from its own state of an (m, 2, 2) stack rho0.
+    temperatures and probabilities are (m, k) arrays, one row per reservoir
+    set; a probability of 0 leaves that reservoir out, which pads narrower
+    rows. Every set shares the frequency h, the coupling J and the collision
+    time tau. The arrays are checked as evolve_many checks its baths, then
+    J, tau, the weak-coupling guard and each row's probability sum as
+    CollisionConfig checks them, with its messages. Row j is bitwise the run
+    of its own reservoirs alone (run_collisions), whatever its padding.
 
     Each reservoir's collision is a fixed linear map on the qubit, built once
     as a 4x4 matrix by applying the collision to the coordinate basis; the
-    maps of every reservoir of every configuration are built in one batch.
-    mixture: every step applies rho -> sum_i p_i Lambda_i[rho].
-    sampled: every step draws one reservoir (deterministic under each
-    configuration's own seed).
+    maps of every reservoir of every set are built in one batch.
+    With seeds None (mixture), every step applies rho -> sum_i p_i
+    Lambda_i[rho]. Otherwise (sampled) every step draws one reservoir, row j
+    from default_rng(seeds[j]).
     Between two records the collisions are applied as one product matrix,
-    one per configuration, stacked, so the configurations step together.
+    one per set, stacked, so the sets step together.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("at least one configuration is required")
-    schedules = {config.schedule for config in configs}
-    if len(schedules) > 1:
-        raise ValueError(f"configurations of one run need one schedule, got {sorted(schedules)}")
+    temps, probs = _checked_baths(temperatures, probabilities, frequency, ("probabilities", "probability"))
+    _check_coupling(frequency, coupling, tau)
+    # summed column by column from 0, as CollisionConfig sums its tuple
+    _check_sums(sum(probs.T))
+    rows, k = temps.shape
+    if seeds is not None and len(seeds) != rows:
+        raise ValueError(f"need {rows} seeds, one per reservoir set, got {len(seeds)}")
     if n < 1:
         raise ValueError(f"need at least one collision, got n={n}")
     if n > sys.maxsize:
@@ -132,59 +155,51 @@ def run_collisions_many(rho0: np.ndarray, configs, n: int, record_every: int = 1
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape not in ((2, 2), (len(configs), 2, 2)):
-        raise ValueError(f"need one 2x2 initial state or {len(configs)} of them, got shape {rho0.shape}")
+    if rho0.shape not in ((2, 2), (rows, 2, 2)):
+        raise ValueError(f"need one 2x2 initial state or {rows} of them, got shape {rho0.shape}")
     qmat.validate_density_matrix(rho0, "initial state")
 
-    maps = _collision_maps(configs)
-    if schedules == {"mixture"}:
-        mixtures = [sum(p * m for p, m in zip(config.probabilities, row)) for config, row in zip(configs, maps)]
-        blocks = channel.repeated(np.stack(mixtures), n, record_every)
+    maps = _collision_maps(frequency, coupling, tau, temps)
+    if seeds is None:
+        # a fold over the k columns that starts from 0, as sum does, so that
+        # zero padding adds +0.0 to entries that are already +0.0 or nonzero
+        mixtures = sum(p[:, None, None] * m for p, m in zip(probs.T, maps.swapaxes(0, 1)))
+        blocks = channel.repeated(mixtures, n, record_every)
     else:
-        # one draw of all n indices gives the same stream as n single draws;
-        # each row's picks index its own maps in the table of every row's maps
-        offsets = np.cumsum([0, *map(len, maps[:-1])])
-        picks = np.stack([
-            offset + np.random.default_rng(config.seed).choice(len(row), size=n, p=config.probabilities)
-            for offset, config, row in zip(offsets, configs, maps)
-        ])
-        blocks = _sampled_blocks(np.concatenate(maps), picks, record_every)
+        # one draw of all n indices gives the same stream as n single draws,
+        # and trailing zero probabilities leave it as it is; each row's picks
+        # index its own maps in the table of every row's maps
+        picks = np.stack([np.random.default_rng(seed).choice(k, size=n, p=row) for seed, row in zip(seeds, probs)])
+        blocks = _sampled_blocks(maps.reshape(-1, 4, 4), picks + k * np.arange(rows)[:, None], record_every)
 
-    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (len(configs), 4, 1))
+    y0 = np.broadcast_to(channel.to_coords(rho0)[..., None], (rows, 4, 1))
     marks, coords = channel.propagate(y0, blocks, n, record_every)
     # copied out, so that no trajectory keeps propagate's whole record buffer alive
-    return [
-        Trajectory(times=marks, coords=coords[:, j, :, 0].copy(), omega=config.frequency)
-        for j, config in enumerate(configs)
-    ]
+    return [Trajectory(times=marks, coords=coords[:, j, :, 0].copy(), omega=frequency) for j in range(rows)]
 
 
-def _collision_maps(configs) -> list:
-    """The 4x4 matrices of one collision with each reservoir of each
-    configuration, one (k, 4, 4) stack per configuration.
+def _collision_maps(h: float, coupling: float, tau: float, temperatures: np.ndarray) -> np.ndarray:
+    """The 4x4 matrices of one collision with a reservoir at each of the
+    temperatures, an (m, k, 4, 4) stack for (m, k) temperatures, all at the
+    frequency h, coupling J and collision time tau.
 
     A collision with an ancilla prepared thermal at T is the joint unitary
     for time tau, after which the ancilla is traced out and discarded, so
     the map is completely positive and trace preserving by construction.
-    The unitary is computed once per distinct (frequency, coupling, tau).
-    The ancillas of every reservoir come from one qubit_thermal_state pass
-    over the arrays of frequencies and temperatures, validated as one stack;
+    The unitary is computed once. The ancillas come from one
+    qubit_thermal_state pass over the temperatures, validated as one stack;
     the tensor products, the unitary conjugations and the partial traces of
     every reservoir's four coordinate basis matrices run as one stacked pass.
     """
-    keys = [(config.frequency, config.coupling, config.tau) for config in configs]
-    unitaries = {(h, j, tau): qmat.unitary_propagator(flip_flop_hamiltonian(h, j), tau) for h, j, tau in set(keys)}
-    counts = [len(config.reservoirs) for config in configs]
-    u = np.repeat(np.stack([unitaries[key] for key in keys]), counts, axis=0)[:, None]
-    temperatures = [t for config in configs for t in config.temperatures]
-    ancillas = qmat.qubit_thermal_state(np.repeat([key[0] for key in keys], counts), temperatures)
-    # kron(basis, ancilla) for every reservoir and basis matrix: (m, 4, 4, 4)
+    u = qmat.unitary_propagator(flip_flop_hamiltonian(h, coupling), tau)
+    ancillas = qmat.qubit_thermal_state(h, temperatures).reshape(-1, 2, 2)
+    # kron(basis, ancilla) for every reservoir and basis matrix: (m k, 4, 4, 4)
     joint = channel.BASIS[None, :, :, None, :, None] * ancillas[:, None, None, :, None, :]
     joint = joint.reshape(-1, 4, 4, 4)
-    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
+    evolved = u @ joint @ u.conj().T
     # C order, as numpy's matrix products of other layouts may round differently
     maps = channel.to_coords(qmat.partial_trace(evolved)).swapaxes(1, 2).copy()
-    return np.split(maps, np.cumsum(counts)[:-1])
+    return maps.reshape(*np.shape(temperatures), 4, 4)
 
 
 # record intervals whose sampled-schedule products are formed in one batch
@@ -236,8 +251,12 @@ def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated:
     temperatures = np.asarray(temperatures, dtype=float)
     if rates.shape != temperatures.shape:
         raise ValueError("rates and temperatures must have matching shapes")
-    if np.any(rates <= 0):
-        raise ValueError("rates must be positive")
+    if not rates.size:
+        raise ValueError("at least one reservoir is required")
+    if not ((rates > 0) & (rates < math.inf)).all():
+        raise ValueError("rates must be finite and positive")
+    if not ((temperatures >= 0) & (temperatures < math.inf)).all():
+        raise ValueError("temperatures must be finite and >= 0")
     temperatures = temperatures.tolist()  # Python floats: their overflows are not numpy warnings
     # Gamma (nbar + 1/2) is Gamma (2 nbar + 1) halved, exactly, so it gives
     # the same probabilities, and it overflows only for baths twice as hot
@@ -255,26 +274,3 @@ def reservoir_probabilities(rates, temperatures, omega: float = 1.0, calibrated:
         weights = np.exp(logs - logs.max())
         total = weights.sum()
     return tuple(weights / total)
-
-
-def mixture_config(
-    rates,
-    temperatures,
-    frequency: float = 1.0,
-    coupling: float = 0.05,
-    tau: float = 1.0,
-    calibrated: bool = True,
-    schedule: str = "mixture",
-    seed: int | None = None,
-) -> CollisionConfig:
-    """CollisionConfig whose reservoir probabilities mirror the given
-    relaxation rates (see reservoir_probabilities)."""
-    probs = reservoir_probabilities(rates, temperatures, frequency, calibrated)
-    return CollisionConfig(
-        frequency=frequency,
-        coupling=coupling,
-        tau=tau,
-        reservoirs=tuple(zip(temperatures, probs)),
-        schedule=schedule,
-        seed=seed,
-    )

@@ -155,22 +155,26 @@ def _mean_energies(temperatures: np.ndarray, rates: np.ndarray, omega: float) ->
         return sum((rates / sum(rates.T)[:, None] * energy).T)
 
 
-def _checked_baths(temperatures, rates, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """temperatures and rates as (n, k) float arrays of one shape, entries
-    finite and >= 0, each row with a positive rate, and omega finite and
-    positive; any other input raises ValueError."""
+def _checked_baths(temperatures, weights, omega: float, names=("rates", "rate")) -> tuple[np.ndarray, np.ndarray]:
+    """temperatures and per-bath weights (the relaxation rates, or the
+    collision probabilities, as names says in the plural and the singular)
+    as (n, k) float arrays of one shape, entries finite and >= 0, each row
+    with a positive weight, and omega finite and positive; any other input
+    raises ValueError."""
     temps = np.asarray(temperatures, dtype=float)
-    rates = np.asarray(rates, dtype=float)
-    if temps.ndim != 2 or temps.shape != rates.shape or 0 in temps.shape:
-        raise ValueError(f"need (n, k) temperatures and rates, n, k >= 1, got shapes {temps.shape}, {rates.shape}")
+    weights = np.asarray(weights, dtype=float)
+    plural, singular = names
+    if temps.ndim != 2 or temps.shape != weights.shape or 0 in temps.shape:
+        raise ValueError(f"need (n, k) temperatures and {plural}, n, k >= 1, "
+                         f"got shapes {temps.shape}, {weights.shape}")
     if not 0 < omega < math.inf:
         raise ValueError(f"qubit frequency must be finite and positive, got {omega}")
-    for name, values in (("temperatures", temps), ("rates", rates)):
+    for name, values in (("temperatures", temps), (plural, weights)):
         if not ((values >= 0) & (values < math.inf)).all():
             raise ValueError(f"{name} must be finite and >= 0")
-    if not reduce(np.logical_or, (rates > 0).T).all():
-        raise ValueError("every reservoir set needs a positive rate")
-    return temps, rates
+    if not reduce(np.logical_or, (weights > 0).T).all():
+        raise ValueError(f"every reservoir set needs a positive {singular}")
+    return temps, weights
 
 
 def steady_temperatures(temperatures, rates, omega: float = 1.0) -> np.ndarray:

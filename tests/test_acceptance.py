@@ -90,14 +90,15 @@ def test_criterion_8_structural_properties():
     _check(acceptance.check_core_properties())
 
 
-def _one_reservoir(temp, coupling=0.05):
-    return collisions.CollisionConfig(frequency=1.0, coupling=coupling, tau=1.0, reservoirs=((temp, 1.0),))
+def _one_reservoir_maps(temps, coupling=0.05):
+    """The collision maps of one-reservoir runs at the given temperatures, (c, 4, 4)."""
+    return collisions._collision_maps(1.0, coupling, 1.0, np.array(temps, dtype=float)[:, None])[:, 0]
 
 
-def _below(states, configs):
-    """Whether each state of an (n + 1, len(configs), 4) run is within 1e-3 of
-    its configuration's Gibbs state."""
-    targets = channel.to_coords(np.stack([qmat.qubit_thermal_state(1.0, c.temperatures[0]) for c in configs]))
+def _below(states, temps):
+    """Whether each state of an (n + 1, len(temps), 4) run is within 1e-3 of
+    the Gibbs state at its temperature."""
+    targets = channel.to_coords(qmat.qubit_thermal_state(1.0, temps))
     return channel.trace_distances(states - targets) < 1e-3
 
 
@@ -105,14 +106,17 @@ def _below(states, configs):
 # own 6000 / 78), below the stride, and one collision
 @pytest.mark.parametrize("n, stride", [(6084, 78), (6000, 78), (5, 9), (1, 1), (1, 4)])
 def test_two_pass_collision_run_matches_the_one_collision_run(n, stride):
-    configs = [_one_reservoir(temp) for temp in (0.5, 1.0, 2.0, 5.0)] + [_one_reservoir(0.0, 0.1)]
-    trajs = collisions.run_collisions_many(qmat.ground_state(), configs, n, record_every=1)
+    # four reservoirs at J = 0.05 and one at J = 0.1, one run per coupling
+    temps = (0.5, 1.0, 2.0, 5.0, 0.0)
+    trajs = collisions.run_collisions_many([[t] for t in temps[:4]], [[1.0]] * 4, qmat.ground_state(), n)
+    trajs += collisions.run_collisions_many([[temps[4]]], [[1.0]], qmat.ground_state(), n, coupling=0.1)
     expected = np.stack([traj.coords for traj in trajs], axis=1)
-    states = acceptance._every_collision(configs, n, stride)
-    assert states.shape == expected.shape == (n + 1, len(configs), 4)
+    maps = np.concatenate([_one_reservoir_maps(temps[:4]), _one_reservoir_maps(temps[4:], 0.1)])
+    states = acceptance._every_collision(maps, n, stride)
+    assert states.shape == expected.shape == (n + 1, len(temps), 4)
     # the products are only reassociated: 7e-14 apart at n = 6000
     np.testing.assert_allclose(states, expected, rtol=0.0, atol=1e-12)
-    below, expected_below = _below(states, configs), _below(expected, configs)
+    below, expected_below = _below(states, temps), _below(expected, temps)
     np.testing.assert_array_equal(below, expected_below)
     np.testing.assert_array_equal(below.argmax(axis=0), expected_below.argmax(axis=0))
 
@@ -126,8 +130,8 @@ def test_first_crossing_count_has_the_closed_form(temp, coupling):
     # near an integer the count turns on roundoff, not on the dynamics
     assume(abs(ratio - round(ratio)) > 1e-6)
     n = 16000  # above the largest count, about 15 400 at T = 10 and J = 0.02
-    configs = [_one_reservoir(temp, coupling)]
-    below = _below(acceptance._every_collision(configs, n, math.isqrt(n - 1) + 1), configs)
+    below = _below(acceptance._every_collision(_one_reservoir_maps([temp], coupling), n, math.isqrt(n - 1) + 1),
+                   [temp])
     assert below[-1, 0]
     assert below[:, 0].argmax() == math.ceil(ratio)
 
@@ -135,8 +139,8 @@ def test_first_crossing_count_has_the_closed_form(temp, coupling):
 def test_criterion_4_fails_when_a_count_differs_from_the_closed_form(monkeypatch):
     every_collision = acceptance._every_collision
 
-    def one_collision_late(configs, n, stride):
-        states = every_collision(configs, n, stride)
+    def one_collision_late(maps, n, stride):
+        states = every_collision(maps, n, stride)
         return np.concatenate([states[:1], states[:-1]])
 
     monkeypatch.setattr(acceptance, "_every_collision", one_collision_late)

@@ -11,7 +11,6 @@ from thermoclass.collisions import (
     SCHEDULES,
     CollisionConfig,
     flip_flop_hamiltonian,
-    mixture_config,
     reservoir_probabilities,
     run_collisions,
     run_collisions_many,
@@ -212,8 +211,8 @@ def test_run_collisions_recording():
 @pytest.mark.parametrize("schedule", SCHEDULES)
 def test_trajectories_own_their_coordinates(schedule):
     # 4097 records sit in a record buffer of 8192 rows; no trajectory keeps it alive
-    config = CollisionConfig(1.0, 0.05, 1.0, ((2.0, 0.5), (1.0, 0.5)), schedule=schedule, seed=3)
-    for traj in run_collisions_many(qmat.ground_state(), [config, config], n=4096):
+    seeds = None if schedule == "mixture" else [3, 3]
+    for traj in run_collisions_many([(2.0, 1.0)] * 2, [(0.5, 0.5)] * 2, qmat.ground_state(), n=4096, seeds=seeds):
         assert traj.coords.base is None
         assert traj.coords.nbytes == 4097 * 4 * 8
 
@@ -254,11 +253,11 @@ def test_sampled_record_stride_beyond_run_records_ends_only():
 
 
 def test_sampled_schedule_agrees_with_mixture_on_average():
-    temps, rates = (3.0, 1.0), (0.1, 0.1)
-    mixture = mixture_config(rates, temps)
-    target = run_collisions(qmat.ground_state(), mixture, n=2500, record_every=2500).final_temperature
-    sampled = [mixture_config(rates, temps, schedule="sampled", seed=seed) for seed in range(200)]
-    trajs = run_collisions_many(qmat.ground_state(), sampled, n=2500, record_every=2500)
+    temps, probs = (3.0, 1.0), reservoir_probabilities((0.1, 0.1), (3.0, 1.0))
+    [mixture] = run_collisions_many([temps], [probs], qmat.ground_state(), n=2500, record_every=2500)
+    target = mixture.final_temperature
+    trajs = run_collisions_many([temps] * 200, [probs] * 200, qmat.ground_state(), n=2500, record_every=2500,
+                                seeds=range(200))
     finals = np.array([traj.final_temperature for traj in trajs])
     sem = finals.std(ddof=1) / math.sqrt(len(finals))
     assert abs(finals.mean() - target) <= 3.0 * sem
@@ -270,15 +269,15 @@ def test_sampled_schedule_has_the_exact_moments():
     # n collisions, mean p_ss (1 - c^n) and variance
     # (1 - c)^2 Var(a) (1 - c^2n) / (1 - c^2), p_ss and Var(a) taken over
     # the draw
-    temps, rates, n, seeds = (3.0, 1.0), (0.1, 0.1), 2500, 400
-    configs = [mixture_config(rates, temps, schedule="sampled", seed=seed) for seed in range(seeds)]
-    trajs = run_collisions_many(qmat.ground_state(), configs, n=n, record_every=n)
+    temps, rates, n, seeds, coupling, tau = (3.0, 1.0), (0.1, 0.1), 2500, 400, 0.05, 1.0
+    probs = np.array(reservoir_probabilities(rates, temps))
+    trajs = run_collisions_many([temps] * seeds, [probs] * seeds, qmat.ground_state(), n=n, record_every=n,
+                                coupling=coupling, tau=tau, seeds=range(seeds))
     finals = np.array([traj.coords[-1, 0] for traj in trajs])
-    probs = np.array(configs[0].probabilities)
     a = np.array([qmat.qubit_thermal_state(1.0, t)[0, 0].real for t in temps])
     p_ss = probs @ a
     var_a = probs @ (a - p_ss) ** 2
-    c = math.cos(configs[0].coupling * configs[0].tau) ** 2
+    c = math.cos(coupling * tau) ** 2
     mean = p_ss * (1.0 - c**n)
     variance = (1.0 - c) ** 2 * var_a * (1.0 - c ** (2 * n)) / (1.0 - c**2)
     assert abs(finals.mean() - mean) / math.sqrt(variance / seeds) <= 4.0
@@ -287,9 +286,8 @@ def test_sampled_schedule_has_the_exact_moments():
 
 def test_calibrated_weights_reproduce_continuous_steady_state():
     temps, rates = (3.0, 1.0), (0.1, 0.05)
-    traj = run_collisions(
-        qmat.ground_state(), mixture_config(rates, temps), n=8000, record_every=1000
-    )
+    [traj] = run_collisions_many([temps], [reservoir_probabilities(rates, temps)], qmat.ground_state(), n=8000,
+                                 record_every=1000)
     analytic = lindblad.steady_temperature(lindblad.make_config(temps, rates))
     assert abs(traj.final_temperature - analytic) / analytic < 1e-6
 
@@ -300,8 +298,7 @@ def test_plain_weights_reach_their_own_mean_excitation():
     temps, rates = (3.0, 1.0), (0.1, 0.1)
     probs = reservoir_probabilities(rates, temps, calibrated=False)
     np.testing.assert_allclose(probs, (0.5, 0.5), atol=1e-15)
-    config = mixture_config(rates, temps, calibrated=False)
-    traj = run_collisions(qmat.ground_state(), config, n=8000, record_every=1000)
+    [traj] = run_collisions_many([temps], [probs], qmat.ground_state(), n=8000, record_every=1000)
     q = [1.0 / (1.0 + math.exp(1.0 / t)) for t in temps]
     p_e = sum(p * qe for p, qe in zip(probs, q))
     predicted = 1.0 / math.log((1.0 - p_e) / p_e)
@@ -312,32 +309,49 @@ def test_plain_weights_reach_their_own_mean_excitation():
 
 _row = st.tuples(
     st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.05, 1.0)), min_size=1, max_size=3),
-    st.floats(1e-3, 0.099),
-    st.floats(0.0, 5.0),
+    st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),  # the temperatures of the padding
+    st.integers(0, 1),  # which of two (J, tau) pairs, so that some rows share one
     st.integers(0, 2**32 - 1),
 )
 
 
+def _grouped(keys) -> dict:
+    """The positions of keys, grouped by key."""
+    groups = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    return groups
+
+
 @settings(max_examples=80, deadline=None)
 @given(rows=st.lists(_row, min_size=1, max_size=4), schedule=st.sampled_from(SCHEDULES),
+       pairs=st.lists(st.tuples(st.floats(1e-3, 0.099), st.floats(0.0, 5.0)), min_size=2, max_size=2),
        shared=st.booleans(), n=st.integers(1, 300), stride=st.sampled_from(["1", "7", "n", "1e20"]))
-def test_run_collisions_many_rows_equal_lone_runs(rows, schedule, shared, n, stride):
-    # rows with their own reservoir counts, couplings, durations and seeds
+def test_run_collisions_many_rows_equal_lone_runs(rows, schedule, pairs, shared, n, stride):
+    # rows with their own reservoir counts and seeds, padded to 4 reservoirs
+    # with zero probabilities, one call per (J, tau)
     record_every = {"1": 1, "7": 7, "n": n, "1e20": 10**20}[stride]
-    configs = []
-    for reservoirs, coupling, tau, seed in rows:
-        weights = np.array([w for _, w in reservoirs])
-        probs = tuple(weights / weights.sum())
-        configs.append(CollisionConfig(1.0, coupling, tau, tuple(zip([t for t, _ in reservoirs], probs)),
-                                       schedule=schedule, seed=seed))
-    rng = np.random.default_rng(rows[0][3])
-    rho0s = [qmat.random_density_matrix(rng) for _ in configs]
-    batch = run_collisions_many(rho0s[0] if shared else np.stack(rho0s), configs, n, record_every)
-    assert len(batch) == len(configs)
-    for j, (config, traj) in enumerate(zip(configs, batch)):
-        alone = run_collisions(rho0s[0 if shared else j], config, n, record_every)
-        np.testing.assert_array_equal(traj.times, alone.times)
-        np.testing.assert_array_equal(traj.coords, alone.coords)
+    rng = np.random.default_rng(rows[0][-1])
+    rho0s = np.stack([qmat.random_density_matrix(rng) for _ in rows])
+    for (coupling, tau), members in _grouped([pairs[row[2]] for row in rows]).items():
+        temps, probs = np.zeros((2, len(members), 4))
+        configs = []
+        for i, j in enumerate(members):
+            reservoirs, padding, _, seed = rows[j]
+            weights = np.array([w for _, w in reservoirs])
+            row = weights / weights.sum()
+            temps[i] = [t for t, _ in reservoirs] + padding[: 4 - len(reservoirs)]
+            probs[i, : len(row)] = row
+            configs.append(CollisionConfig(1.0, coupling, tau, tuple(zip(temps[i], row)),
+                                           schedule=schedule, seed=seed))
+        seeds = None if schedule == "mixture" else [rows[j][-1] for j in members]
+        batch = run_collisions_many(temps, probs, rho0s[0] if shared else rho0s[members], n, record_every,
+                                    coupling=coupling, tau=tau, seeds=seeds)
+        assert len(batch) == len(members)
+        for j, config, traj in zip(members, configs, batch):
+            alone = run_collisions(rho0s[0 if shared else j], config, n, record_every)
+            np.testing.assert_array_equal(traj.times, alone.times)
+            assert traj.coords.tobytes() == alone.coords.tobytes()
 
 
 _map_row = st.tuples(
@@ -351,31 +365,57 @@ _map_row = st.tuples(
        triples=st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(1e-3, 0.099), st.floats(0.0, 50.0)),
                         min_size=3, max_size=3))
 def test_batched_collision_maps_match_the_direct_form(rows, triples):
-    # every reservoir's map of a batch with mixed reservoir counts and
-    # (h, J, tau) triples, bit for bit against kron, U rho U^dag and a
-    # partial trace applied to one basis matrix at a time
-    configs = []
-    for temps, which in rows:
-        h, ratio, tau = triples[which]
-        configs.append(CollisionConfig(h, ratio * h, tau, tuple((t, 1.0 / len(temps)) for t in temps)))
-    batch = collisions._collision_maps(configs)
-    assert len(batch) == len(configs)
-    for config, maps in zip(configs, batch):
-        assert maps.flags.c_contiguous
-        assert maps.tobytes() == collision_maps(config).tobytes()
+    # every reservoir's map of a batch with mixed reservoir counts, padded
+    # with T = 0, one call per (h, J, tau) triple, bit for bit against kron,
+    # U rho U^dag and a partial trace applied to one basis matrix at a time
+    for (h, ratio, tau), members in _grouped([triples[which] for _, which in rows]).items():
+        temps = np.zeros((len(members), 4))
+        for i, j in enumerate(members):
+            temps[i, : len(rows[j][0])] = rows[j][0]
+        batch = collisions._collision_maps(h, ratio * h, tau, temps)
+        assert batch.shape == (len(members), 4, 4, 4) and batch.flags.c_contiguous
+        for j, maps in zip(members, batch):
+            row = rows[j][0]
+            config = CollisionConfig(h, ratio * h, tau, tuple((t, 1.0 / len(row)) for t in row))
+            assert maps[: len(row)].tobytes() == collision_maps(config).tobytes()
 
 
-def test_run_collisions_many_validation():
-    mixture = basic_config()
-    sampled = CollisionConfig(1.0, 0.05, 1.0, ((3.0, 1.0),), schedule="sampled", seed=1)
-    with pytest.raises(ValueError, match="one schedule"):
-        run_collisions_many(qmat.ground_state(), [mixture, sampled], 10)
-    with pytest.raises(ValueError, match="at least one configuration"):
-        run_collisions_many(qmat.ground_state(), [], 10)
-    with pytest.raises(ValueError, match="2 of them"):
-        run_collisions_many(np.stack([qmat.ground_state()] * 3), [mixture, mixture], 10)
-    with pytest.raises(ValueError, match="record_every"):
-        run_collisions_many(qmat.ground_state(), [mixture], 10, record_every=0)
+_ONE_ROW = ([(3.0, 1.0)], [(0.6, 0.4)])
+
+
+@pytest.mark.parametrize("temperatures, probabilities, kwargs, message", [
+    ([(3.0, 1.0)], [(1.0,)], {}, "need (n, k) temperatures and probabilities, n, k >= 1, got shapes (1, 2), (1, 1)"),
+    ([3.0], [1.0], {}, "need (n, k) temperatures and probabilities, n, k >= 1, got shapes (1,), (1,)"),
+    (np.zeros((0, 2)), np.zeros((0, 2)), {},
+     "need (n, k) temperatures and probabilities, n, k >= 1, got shapes (0, 2), (0, 2)"),
+    ([(3.0, math.nan)], [(0.6, 0.4)], {}, "temperatures must be finite and >= 0"),
+    ([(3.0, -1.0)], [(0.6, 0.4)], {}, "temperatures must be finite and >= 0"),
+    ([(3.0, 1.0)], [(math.nan, 0.4)], {}, "probabilities must be finite and >= 0"),
+    ([(3.0, 1.0)], [(1.2, -0.2)], {}, "probabilities must be finite and >= 0"),
+    ([(3.0, 1.0)] * 2, [(0.6, 0.4), (0.0, 0.0)], {}, "every reservoir set needs a positive probability"),
+    (*_ONE_ROW, {"seeds": [1, 2]}, "need 1 seeds, one per reservoir set, got 2"),
+    (*_ONE_ROW, {"rho0": np.stack([qmat.ground_state()] * 3)},
+     "need one 2x2 initial state or 1 of them, got shape (3, 2, 2)"),
+    (*_ONE_ROW, {"record_every": 0}, "record_every must be >= 1, got 0"),
+])
+def test_run_collisions_many_validation(temperatures, probabilities, kwargs, message):
+    kwargs = {"rho0": qmat.ground_state(), "n": 10, **kwargs}
+    with pytest.raises(ValueError) as err:
+        run_collisions_many(temperatures, probabilities, **kwargs)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("probabilities, coupling, error", [
+    ([(0.6, 0.4), (0.6, 0.6)], 0.05, ValueError),  # a row that sums to 1.2
+    ([(0.6, 0.4), (0.6, 0.4)], 0.5, GuardViolation),  # J / h = 0.5
+])
+def test_run_collisions_many_raises_collision_configs_messages(probabilities, coupling, error):
+    # the row-sum check and the weak-coupling guard, with CollisionConfig's text
+    with pytest.raises(error) as lone:
+        CollisionConfig(1.0, coupling, 1.0, tuple(zip((3.0, 1.0), probabilities[-1])))
+    with pytest.raises(error) as batch:
+        run_collisions_many([(3.0, 1.0)] * 2, probabilities, qmat.ground_state(), 10, coupling=coupling)
+    assert str(batch.value) == str(lone.value) and "\n" not in str(batch.value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,9 +447,18 @@ def test_probabilities_of_very_hot_or_fast_reservoirs_stay_finite(rates, temps, 
             assert p == pytest.approx(1.0 / sum(g * t == hottest for g, t in zip(rates, temps)), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_reservoir_probabilities_validation():
     assert reservoir_probabilities((0.1,), (2.0,)) == (1.0,)
-    with pytest.raises(ValueError):
-        reservoir_probabilities((0.1, 0.2), (2.0,))
-    with pytest.raises(ValueError):
-        reservoir_probabilities((0.0, 0.1), (2.0, 1.0))
+    for rates, temps in (
+        ((0.1, 0.2), (2.0,)),
+        ((0.0, 0.1), (2.0, 1.0)),
+        ((math.nan,), (2.0,)),
+        ((math.inf, 0.1), (1.0, 1.0)),
+        ((0.1, 0.1), (math.inf, 1.0)),
+        ((0.1,), (math.nan,)),
+        ((), ()),
+    ):
+        with pytest.raises(ValueError) as err:
+            reservoir_probabilities(rates, temps)
+        assert "\n" not in str(err.value)
